@@ -46,6 +46,8 @@ class _Variant:
     sketch: NetworkConfig
     seed: SeedSpecification
     requirement: Term
+    #: ``seed.encoding.selection_lookups()``, computed once per world.
+    best_lookups: Tuple[Tuple[str, str, str, Tuple[str, ...]], ...]
 
 
 class Oracle:
@@ -108,7 +110,10 @@ class Oracle:
                 if name.startswith("requirement:"):
                     terms.extend(group)
             variant = _Variant(
-                sketch=sketch, seed=seed, requirement=And(*terms)
+                sketch=sketch,
+                seed=seed,
+                requirement=And(*terms),
+                best_lookups=seed.encoding.selection_lookups(),
             )
             self._variants[mutation] = variant
         return variant
@@ -138,13 +143,10 @@ class Oracle:
         except ConvergenceError:
             return False, None
         env = self._hole_env(variant, assignment)
-        for key, variable in variant.seed.encoding.best_vars.items():
-            candidate = _candidate_of(key)
-            selected = outcome.best(candidate.router, candidate.prefix)
-            env[variable.name] = (
-                selected is not None
-                and selected.path == candidate.path.hops
-            )
+        rib = outcome.rib
+        for name, router, prefix_text, hops in variant.best_lookups:
+            selected = rib.get((router, prefix_text))
+            env[name] = selected is not None and selected.path == hops
         return bool(variant.requirement.evaluate(env)), env
 
     def _hole_env(
@@ -240,12 +242,3 @@ class Oracle:
             term = None
         self._statement_terms[cache_key] = term
         return term
-
-
-def _candidate_of(key: str):
-    from ..synthesis.space import Candidate
-    from ..topology.paths import Path
-    from ..topology.prefixes import Prefix
-
-    prefix_text, hops_text = key.split("|", 1)
-    return Candidate(Prefix(prefix_text), Path(tuple(hops_text.split("."))))

@@ -234,22 +234,10 @@ def _classify_assignment(
         variable = seed.encoding.holes.variable(name)
         env[name] = value if variable.sort.is_int() else str(value)
     # Valuations of the selection variables come from the simulation.
-    for key, variable in seed.encoding.best_vars.items():
-        candidate = _candidate_of(seed, key)
-        selected = outcome.best(candidate.router, candidate.prefix)
-        env[variable.name] = (
-            selected is not None and selected.path == candidate.path.hops
-        )
+    for variable_name, router, prefix_text, hops in seed.encoding.selection_lookups():
+        selected = outcome.rib.get((router, prefix_text))
+        env[variable_name] = selected is not None and selected.path == hops
     return bool(requirement.evaluate(env)), env
-
-
-def _candidate_of(seed: SeedSpecification, key: str):
-    from ..synthesis.space import Candidate
-    from ..topology.paths import Path
-    from ..topology.prefixes import Prefix
-
-    prefix_text, hops_text = key.split("|", 1)
-    return Candidate(Prefix(prefix_text), Path(tuple(hops_text.split("."))))
 
 
 def _as_dnf(

@@ -101,6 +101,20 @@ class Encoding:
     def best_var(self, candidate: Candidate) -> Term:
         return self.best_vars[candidate.key()]
 
+    def selection_lookups(self) -> Tuple[Tuple[str, str, str, Tuple[str, ...]], ...]:
+        """One ``(variable name, router, prefix text, hops)`` per
+        selection variable, for evaluating the encoding under a
+        simulated RIB: the variable is true iff ``router`` selects the
+        announcement path ``hops`` for the prefix.  Read off the
+        candidate keys (:meth:`Candidate.key`), whose prefix text is
+        canonical and whose last hop is the holding router."""
+        lookups = []
+        for key, variable in self.best_vars.items():
+            prefix_text, hops_text = key.split("|", 1)
+            hops = tuple(hops_text.split("."))
+            lookups.append((variable.name, hops[-1], prefix_text, hops))
+        return tuple(lookups)
+
     def filter_ok_of(self, candidate: Candidate) -> Term:
         return self.filter_ok[candidate.key()]
 

@@ -29,19 +29,23 @@ class Prefix:
     True
     """
 
-    __slots__ = ("_network",)
+    # ``_text`` caches the canonical CIDR string: prefixes are keyed by
+    # their text throughout (RIB keys, candidate keys, SMT names).
+    __slots__ = ("_network", "_text")
 
     def __init__(self, text: Union[str, "Prefix", ipaddress.IPv4Network]) -> None:
         if isinstance(text, Prefix):
             self._network = text._network
+            self._text = text._text
             return
         if isinstance(text, ipaddress.IPv4Network):
             self._network = text
-            return
-        try:
-            self._network = ipaddress.IPv4Network(text, strict=True)
-        except (ipaddress.AddressValueError, ipaddress.NetmaskValueError, ValueError) as exc:
-            raise PrefixError(f"invalid prefix {text!r}: {exc}") from None
+        else:
+            try:
+                self._network = ipaddress.IPv4Network(text, strict=True)
+            except (ipaddress.AddressValueError, ipaddress.NetmaskValueError, ValueError) as exc:
+                raise PrefixError(f"invalid prefix {text!r}: {exc}") from None
+        self._text = str(self._network)
 
     @property
     def network_address(self) -> str:
@@ -83,7 +87,7 @@ class Prefix:
         return hash(self._network)
 
     def __str__(self) -> str:
-        return str(self._network)
+        return self._text
 
     def __repr__(self) -> str:
-        return f"Prefix({str(self._network)!r})"
+        return f"Prefix({self._text!r})"

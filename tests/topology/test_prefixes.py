@@ -1,5 +1,8 @@
 """Unit tests for IPv4 prefix handling."""
 
+import ipaddress
+import pickle
+
 import pytest
 
 from repro.topology import Prefix, PrefixError
@@ -62,3 +65,25 @@ class TestValueSemantics:
 
     def test_repr(self):
         assert repr(Prefix("10.0.0.0/8")) == "Prefix('10.0.0.0/8')"
+
+    def test_text_is_canonical_for_every_constructor(self):
+        network = ipaddress.IPv4Network("10.0.0.0/8")
+        for prefix in (Prefix("10.0.0.0/8"), Prefix(network), Prefix(Prefix("10.0.0.0/8"))):
+            assert str(prefix) == "10.0.0.0/8"
+            assert repr(prefix) == "Prefix('10.0.0.0/8')"
+            assert prefix == Prefix("10.0.0.0/8")
+            assert hash(prefix) == hash(network)
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        """Worker pools and the fleet ship configurations by pickle."""
+        prefixes = [Prefix("11.0.0.0/8"), Prefix("10.0.0.0/16"), Prefix("10.0.0.0/8")]
+        copies = pickle.loads(pickle.dumps(prefixes, protocol=protocol))
+        for original, copy in zip(prefixes, copies):
+            assert copy == original
+            assert hash(copy) == hash(original)
+            assert str(copy) == str(original)
+            assert repr(copy) == repr(original)
+            assert copy.length == original.length
+        assert sorted(copies) == sorted(prefixes)
+        assert [str(p) for p in sorted(copies)] == ["10.0.0.0/8", "10.0.0.0/16", "11.0.0.0/8"]

@@ -64,7 +64,7 @@ from .report import (
     STATUS_QUARANTINED,
     normalize_document,
 )
-from .store import ArtifactStore, JobStore, StoreError
+from .store import ArtifactStore, JobStore, StoreError, StoredPayload
 from .supervise import (
     RunJournal,
     SupervisePolicy,
@@ -121,6 +121,7 @@ __all__ = [
     "ArtifactStore",
     "JobStore",
     "StoreError",
+    "StoredPayload",
     "compute_dirty",
     "readset_valid",
     "sketch_universe",

@@ -166,7 +166,7 @@ def compute_dirty(
             dirty.append(job)
             continue
         readset = store.load(new_key, "readset")
-        if readset is None or store.load(new_key, "explanation") is None:
+        if readset is None or store.load_text(new_key, "explanation") is None:
             dirty.append(job)
             continue
         universe = sketch_universe(new_config, job)

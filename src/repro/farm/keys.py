@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -32,10 +33,19 @@ __all__ = ["FarmOptions", "canonical_json", "digest", "job_key", "KEY_SCHEMA"]
 KEY_SCHEMA = "repro-farm-key/1"
 
 
+def _mapping(value: object) -> dict:
+    """``json.dumps`` fallback: any read-only mapping (a stored answer
+    carried as text) encodes as the dict it stands for."""
+    if isinstance(value, Mapping):
+        return dict(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def canonical_json(payload: object) -> str:
     """Deterministic JSON: sorted keys, no whitespace, pure ASCII."""
     return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True
+        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+        default=_mapping,
     )
 
 

@@ -43,11 +43,12 @@ from ..obs import (
 from ..runtime import TRANSIENT, split_budget
 from ..spec.ast import Specification
 from ..bgp.config import NetworkConfig
+from ..explain.serialize import subspec_from_dict
 from . import report as report_mod
 from .invalidate import compute_dirty
 from .job import ExplainJob, JobFamily, group_families
 from .keys import FarmOptions
-from .store import ArtifactStore
+from .store import ArtifactStore, StoredPayload
 from .worker import (
     JobResult,
     STATUS_CACHED,
@@ -380,12 +381,10 @@ def run_incremental(
     # Serve the provably-clean jobs from the store, preserving the
     # original enumeration order in the final report.
     served: Dict[ExplainJob, JobResult] = {r.job: r for r in batch.results}
-    from ..explain.engine import Explanation
-
     for job, key in clean.items():
-        payload = store.load(key, "explanation")
-        assert payload is not None  # compute_dirty checked it exists
-        restored = Explanation.from_dict(payload)
+        text = store.load_text(key, "explanation")
+        assert text is not None  # compute_dirty checked it exists
+        payload = StoredPayload(text)
         obs = Instrumentation()
         obs.metrics.count("farm.cache.full_hit")
         obs.metrics.count(f"farm.jobs.{STATUS_CACHED}")
@@ -402,7 +401,8 @@ def run_incremental(
         )
         served[job] = JobResult(
             job=job, key=key, status=STATUS_CACHED, cached=True,
-            duration_s=0.0, subspec=restored.subspec.render(),
+            duration_s=0.0,
+            subspec=subspec_from_dict(payload["subspec"]).render(),
             explanation=payload, metrics=obs.metrics, audit=audit,
         )
     report = BatchReport(

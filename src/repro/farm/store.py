@@ -4,11 +4,12 @@ Layout (ccache-style fan-out to keep directories small)::
 
     <cache_dir>/<key[:2]>/<key>.<stage>.json
 
-Each file is a schema-versioned envelope wrapping one JSON artifact
-payload plus an integrity hash; anything that fails to parse, carries
-the wrong schema, or does not hash to its recorded integrity value is
-treated as a miss (and counted), never as an error -- a corrupted cache
-must degrade to a cold run, not break the batch.
+Each file is the canonical JSON of a schema-versioned envelope wrapping
+one JSON artifact payload plus an integrity hash; anything that is not
+such an envelope for the requested (key, stage), or whose payload does
+not hash to its recorded integrity value, is treated as a miss (and
+counted), never as an error -- a corrupted cache must degrade to a cold
+run, not break the batch.
 
 Stages are free-form strings; the farm uses ``seed``, ``simplify``,
 ``projected`` and ``lift`` (the engine's mid-pipeline artifacts,
@@ -18,14 +19,16 @@ written through the :class:`JobStore` adapter) plus ``explanation`` and
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from collections.abc import Mapping
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .keys import canonical_json, digest
+from .keys import canonical_json
 
 __all__ = [
     "STORE_SCHEMA",
@@ -33,6 +36,7 @@ __all__ = [
     "ArtifactStore",
     "JobStore",
     "StoreError",
+    "StoredPayload",
 ]
 
 STORE_SCHEMA = "repro-farm-store/1"
@@ -43,6 +47,84 @@ _STAGE_SAFE = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_-")
 
 class StoreError(ValueError):
     """Raised on misuse of the store API (never on bad cache bytes)."""
+
+
+class StoredPayload(Mapping[str, Any]):
+    """A read-only stored payload carried as its canonical JSON text.
+
+    Answers served from (or just written to) the store travel as one
+    of these: the text decodes on first access, and pickling carries
+    the text alone, so a worker's answer crosses a process boundary as
+    one string instead of a graph of dicts -- and a process that only
+    forwards the answer (the server) never decodes it.  Compares equal
+    to the decoded ``dict`` in both directions.
+    """
+
+    __slots__ = ("text", "_decoded")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self._decoded: Optional[dict] = None
+
+    def _payload(self) -> dict:
+        if self._decoded is None:
+            self._decoded = json.loads(self.text)
+        return self._decoded
+
+    def __getitem__(self, name: str) -> Any:
+        return self._payload()[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._payload())
+
+    def __len__(self) -> int:
+        return len(self._payload())
+
+    def __reduce__(self) -> Tuple[type, Tuple[str]]:
+        return (StoredPayload, (self.text,))
+
+    def __repr__(self) -> str:
+        return f"StoredPayload({len(self.text)} chars)"
+
+
+#: The fixed opening of a canonical envelope, up to the integrity hash.
+_HEAD = '{"integrity":"'
+_DIGEST_CHARS = 64
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def _frame(key: str, stage: str, payload_text: str) -> str:
+    """``canonical_json(envelope)``, framed around already-canonical
+    payload text (sorted keys: integrity, key, payload, schema, stage).
+    ``key`` and ``stage`` are validated by :meth:`ArtifactStore.path_for`
+    and need no escaping."""
+    return (
+        f'{_HEAD}{_sha256(payload_text)}","key":"{key}","payload":'
+        f'{payload_text},"schema":"{STORE_SCHEMA}","stage":"{stage}"}}'
+    )
+
+
+def _framed_payload(text: str, key: str, stage: str) -> Optional[str]:
+    """The payload slice of a canonical envelope for (key, stage), or
+    ``None`` unless the frame matches and the slice hashes to the
+    recorded integrity value."""
+    middle = f'","key":"{key}","payload":'
+    tail = f',"schema":"{STORE_SCHEMA}","stage":"{stage}"}}'
+    start = len(_HEAD) + _DIGEST_CHARS + len(middle)
+    if not (
+        text.startswith(_HEAD)
+        and text.startswith(middle, len(_HEAD) + _DIGEST_CHARS)
+        and text.endswith(tail)
+    ):
+        return None
+    payload = text[start:len(text) - len(tail)]
+    integrity = text[len(_HEAD):len(_HEAD) + _DIGEST_CHARS]
+    if not payload.startswith("{") or _sha256(payload) != integrity:
+        return None
+    return payload
 
 
 class ArtifactStore:
@@ -73,10 +155,11 @@ class ArtifactStore:
         #: Long-lived handles (a fleet worker's resident store) keep
         #: the canonical JSON of the most recently touched payloads so
         #: repeat loads skip the filesystem entirely.  Hits are counted
-        #: exactly like disk hits, and each load deserializes a fresh
-        #: dict, so callers (and batch report documents) cannot tell
-        #: the difference.  A payload replaced on disk by *another*
-        #: process keeps serving the remembered copy until evicted --
+        #: exactly like disk hits, and each load hands out the same
+        #: text (or a fresh dict decoded from it), so callers (and
+        #: batch report documents) cannot tell the difference.  A
+        #: payload replaced on disk by *another* process keeps serving
+        #: the remembered copy until evicted --
         #: acceptable because artifacts are content-addressed by job
         #: key and deterministic.
         self.hot_artifacts = hot_artifacts
@@ -115,36 +198,45 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
 
-    def load(self, key: str, stage: str) -> Optional[dict]:
-        """The stored payload for (key, stage), or ``None`` on a miss."""
+    def load_text(self, key: str, stage: str) -> Optional[str]:
+        """The canonical JSON text of the stored payload for
+        (key, stage), or ``None`` on a miss.
+
+        The file is ``canonical_json(envelope)``, whose sorted keys put
+        the payload between a fixed-width head (integrity, key) and a
+        fixed tail (schema, stage).  The integrity hash is checked over
+        that payload slice as it lies in the file, so a read never
+        decodes and re-encodes the payload.  A file that is not exactly
+        canonical -- even an indented copy of a valid envelope -- reads
+        as corrupt.
+        """
         path = self.path_for(key, stage)
         hot = self._recall(key, stage)
         if hot is not None:
             self._count("hit", stage)
-            return json.loads(hot)
+            return hot
         try:
             with open(path, "r", encoding="ascii") as handle:
-                envelope = json.load(handle)
+                text = handle.read()
         except (OSError, ValueError):
             if os.path.exists(path):
                 self._count("corrupt", stage)
             self._count("miss", stage)
             return None
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("schema") != STORE_SCHEMA
-            or envelope.get("key") != key
-            or envelope.get("stage") != stage
-            or not isinstance(envelope.get("payload"), dict)
-            or envelope.get("integrity") != digest(envelope["payload"])
-        ):
+        payload = _framed_payload(text, key, stage)
+        if payload is None:
             self._count("corrupt", stage)
             self._count("miss", stage)
             return None
         self._count("hit", stage)
         if self.hot_artifacts:
-            self._remember(key, stage, canonical_json(envelope["payload"]))
-        return envelope["payload"]
+            self._remember(key, stage, payload)
+        return payload
+
+    def load(self, key: str, stage: str) -> Optional[dict]:
+        """The stored payload for (key, stage), or ``None`` on a miss."""
+        text = self.load_text(key, stage)
+        return None if text is None else json.loads(text)
 
     def _write_atomic(self, path: str, text: str) -> bool:
         """Write ``text`` to ``path`` atomically (temp + ``os.replace``).
@@ -179,24 +271,24 @@ class ArtifactStore:
             return False
         return True
 
-    def save(self, key: str, stage: str, payload: dict) -> None:
-        """Atomically persist ``payload`` under (key, stage)."""
+    def save(self, key: str, stage: str, payload: dict) -> str:
+        """Atomically persist ``payload`` under (key, stage).
+
+        Returns the payload's canonical JSON text (whether or not the
+        write landed), so callers can hand the answer on as a
+        :class:`StoredPayload` without encoding it again.
+        """
         if not isinstance(payload, dict):
             raise StoreError(
                 f"artifact payloads must be dicts, got {type(payload).__name__}"
             )
         path = self.path_for(key, stage)
-        envelope = {
-            "schema": STORE_SCHEMA,
-            "key": key,
-            "stage": stage,
-            "integrity": digest(payload),
-            "payload": payload,
-        }
-        if self._write_atomic(path, canonical_json(envelope)):
+        text = canonical_json(payload)
+        if self._write_atomic(path, _frame(key, stage, text)):
             self._count("store", stage)
             if self.hot_artifacts:
-                self._remember(key, stage, canonical_json(payload))
+                self._remember(key, stage, text)
+        return text
 
     # -- quarantine ledger ---------------------------------------------
 

@@ -71,7 +71,7 @@ from .fleet import WorkerFleet
 from .job import ExplainJob, group_families
 from .keys import FarmOptions, canonical_json, digest
 from .pool import BatchReport, _merge_metrics
-from .store import ArtifactStore
+from .store import ArtifactStore, StoredPayload
 from .report import OK_STATUSES
 from .worker import (
     JobResult,
@@ -237,9 +237,10 @@ def _result_from_payload(
     if payload.get("stored"):
         if store is None or not isinstance(key, str):
             return None
-        explanation = store.load(key, "explanation")
-        if explanation is None:
+        text = store.load_text(key, "explanation")
+        if text is None:
             return None
+        explanation = StoredPayload(text)
     job_fields = dict(payload["job"])  # type: ignore[arg-type]
     job_fields["fields"] = tuple(job_fields.get("fields") or ())
     return JobResult(

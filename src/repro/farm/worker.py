@@ -34,7 +34,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..bgp.config import NetworkConfig
 from ..bgp.render import render_network
@@ -67,7 +67,7 @@ from .report import (
     STATUS_QUARANTINED,
     job_row,
 )
-from .store import ArtifactStore, JobStore
+from .store import ArtifactStore, JobStore, StoredPayload
 
 __all__ = [
     "JobResult",
@@ -119,8 +119,11 @@ class JobResult:
     quarantined: bool = False
     #: The schema-stamped explanation payload (timings stripped), for
     #: ``--json`` reports and byte-level result comparisons.  ``None``
-    #: for errored jobs.
-    explanation: Optional[dict] = None
+    #: for errored jobs.  Answers served from or saved to the store are
+    #: a :class:`~repro.farm.store.StoredPayload` (canonical JSON text,
+    #: decoded on first access, pickled as the text alone); uncached
+    #: answers are plain dicts.  Treat it as a read-only mapping.
+    explanation: Optional[Mapping[str, Any]] = None
     #: The adversarial audit verdict payload (``repro-audit/1``), or
     #: ``None`` when the audit stage did not run for this job.
     audit: Optional[dict] = None
@@ -218,7 +221,7 @@ def run_audit(
     options: FarmOptions,
     store: Optional[ArtifactStore],
     key: str,
-    answer: dict,
+    answer: Mapping[str, Any],
     obs: Instrumentation,
     sketch: Optional[NetworkConfig] = None,
     holes=None,
@@ -352,22 +355,23 @@ def run_job(
 
     try:
         if store is not None:
-            answer = store.load(key, "explanation")
+            answer_text = store.load_text(key, "explanation")
             readset = store.load(key, "readset")
-            if answer is not None and readset is not None:
+            if answer_text is not None and readset is not None:
                 universe = _sketch_universe_of(sketch)
                 if readset_valid(readset, config, universe):
                     obs.metrics.count("farm.cache.full_hit")
                     # Only the subspec is needed from the stored answer
-                    # (the payload itself is returned verbatim);
-                    # rebuilding the full Explanation -- seed encode,
-                    # simplified and projected terms -- would dominate
-                    # the cached-hit path for nothing.
-                    restored = subspec_from_dict(answer["subspec"])
+                    # (the payload itself is returned as its stored
+                    # text); rebuilding the full Explanation -- seed
+                    # encode, simplified and projected terms -- would
+                    # dominate the cached-hit path for nothing.
+                    cached = StoredPayload(answer_text)
+                    restored = subspec_from_dict(cached["subspec"])
                     audit = (
                         run_audit(
                             config, specification, job, options, store,
-                            key, answer, obs, sketch=sketch, holes=holes,
+                            key, cached, obs, sketch=sketch, holes=holes,
                         )
                         if options.audit
                         else None
@@ -377,7 +381,7 @@ def run_job(
                             job=job, key=key, status=STATUS_CACHED,
                             cached=True, duration_s=0.0,
                             subspec=restored.render(),
-                            explanation=answer,
+                            explanation=cached,
                             audit=audit,
                         )
                     )
@@ -408,8 +412,9 @@ def run_job(
             except Exception:
                 obs.metrics.count("smt.session.certify_errors")
         payload = _answer_payload(explanation)
+        answer: Mapping[str, Any] = payload
         if store is not None and explanation.status is ExplanationStatus.EXACT:
-            store.save(key, "explanation", payload)
+            answer = StoredPayload(store.save(key, "explanation", payload))
             universe = _sketch_universe_of(sketch)
             store.save(key, "readset", recorder.payload(config, universe))
             _apply_corrupt_chaos(chaos, store, job.job_id, key, ordinal, attempt)
@@ -428,7 +433,7 @@ def run_job(
                 cached=False, duration_s=0.0,
                 subspec=explanation.subspec.render(),
                 error=explanation.degradation,
-                explanation=payload,
+                explanation=answer,
                 audit=audit,
             )
         )

@@ -103,6 +103,10 @@ class ExplainHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    #: ``TCP_NODELAY`` on every accepted socket.  Each response also
+    #: leaves in one write (see :meth:`_send`), so no small segment
+    #: waits behind the client's delayed ACK.
+    disable_nagle_algorithm = True
     #: Quiet by default; the CLI flips this on under ``-v``.
     verbose = False
 
@@ -128,8 +132,12 @@ class ExplainHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # Status line, headers and body in one write: a head sent on
+        # its own leaves the body waiting ~40 ms on the client's
+        # delayed ACK.  ``end_headers`` would flush the head alone, so
+        # the blank line and body join the buffered head here instead.
+        self._headers_buffer.extend((b"\r\n", body))  # type: ignore[attr-defined]
+        self.flush_headers()
 
     def _send_json(
         self,
@@ -337,10 +345,8 @@ class ExplainHandler(BaseHTTPRequestHandler):
             pass
 
     def _chunk(self, data: bytes) -> None:
-        self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
-        self.wfile.write(data)
-        self.wfile.write(b"\r\n")
-        self.wfile.flush()
+        """One chunk of the ``/events`` stream, in one write."""
+        self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
 
 
 class _Server(ThreadingHTTPServer):

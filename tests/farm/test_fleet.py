@@ -155,6 +155,11 @@ class TestStreams:
 
     def test_uncapped_streams_use_all_workers(self):
         with WorkerFleet(2) as fleet:
+            # One warm-up task per worker (an idle fleet hands each
+            # submission to a different worker), so the timed pair
+            # measures claims, not spawned workers still importing.
+            warmups = [fleet.submit(_double, i) for i in range(2)]
+            assert [f.result(timeout=30.0) for f in warmups] == [0, 2]
             futures = [
                 fleet.submit(_nap_tag, f"u{i}", 0.15, stream="wide")
                 for i in range(2)

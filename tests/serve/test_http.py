@@ -9,6 +9,7 @@ graceful drain.
 
 import io
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -69,9 +70,9 @@ class Client:
 def server_factory():
     servers = []
 
-    def boot(**app_kwargs):
+    def boot(handler=ExplainHandler, **app_kwargs):
         app = ServeApp(**app_kwargs)
-        server = _Server(("127.0.0.1", 0), ExplainHandler, app)
+        server = _Server(("127.0.0.1", 0), handler, app)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         servers.append((server, app))
@@ -294,3 +295,132 @@ class TestDrainOverHttp:
         assert client.wait(queued["id"])["state"] == "DRAINED"
         code, body, _ = client.submit("scenario3", no_cache=True)
         assert code == 503
+
+
+# -- the wire: one send per response, no Nagle -----------------------------
+
+
+class _WriteLog:
+    """Wraps a handler's ``wfile`` and records every ``write`` call."""
+
+    def __init__(self, wfile, writes):
+        self._wfile = wfile
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+def _recording_handler():
+    """An ``ExplainHandler`` subclass logging, per connection, the
+    socket's ``TCP_NODELAY`` flag and every write it makes."""
+    connections = []
+
+    class Recording(ExplainHandler):
+        def setup(self):
+            super().setup()
+            writes = []
+            nodelay = self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            connections.append({"nodelay": nodelay, "writes": writes})
+            self.wfile = _WriteLog(self.wfile, writes)
+
+    return Recording, connections
+
+
+def _chunks(writes):
+    """Decode chunked-transfer writes, asserting each is one whole chunk."""
+    bodies = []
+    for data in writes:
+        size, _, rest = data.partition(b"\r\n")
+        assert rest.endswith(b"\r\n"), data
+        body = rest[:-2]
+        assert int(size, 16) == len(body), data
+        bodies.append(body)
+    return bodies
+
+
+class TestWire:
+    def test_sockets_are_nagle_free_and_responses_take_one_write(
+        self, server_factory
+    ):
+        handler, connections = _recording_handler()
+        app, client = server_factory(
+            handler=handler,
+            runner=lambda request, progress=None, stop=None: _fake_report(
+                request.name
+            ),
+        )
+        code, raw, _ = client.get("/v1/healthz")
+        assert code == 200
+        code, body, _ = client.submit("scenario1", no_cache=True)
+        assert code == 202
+        client.wait(body["id"])
+        code, raw, _ = client.get(f"/v1/jobs/{body['id']}/result")
+        assert code == 200
+        code, missing, _ = client.get("/v1/jobs/nope")
+        assert code == 404
+        assert connections
+        assert all(conn["nodelay"] for conn in connections)
+        # Every plain response -- 200, 202, 404, the status polls --
+        # leaves as one write holding the head and the whole body.
+        for conn in connections:
+            assert len(conn["writes"]) == 1, conn["writes"]
+            head, _, payload = conn["writes"][0].partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 ")
+            length = [
+                line for line in head.split(b"\r\n")
+                if line.lower().startswith(b"content-length:")
+            ]
+            assert int(length[0].split(b":")[1]) == len(payload)
+
+    def test_each_event_chunk_takes_one_write(self, server_factory):
+        handler, connections = _recording_handler()
+        app, client = server_factory(
+            handler=handler,
+            runner=lambda request, progress=None, stop=None: _fake_report(
+                request.name
+            ),
+        )
+        code, body, _ = client.submit("scenario1", no_cache=True)
+        client.wait(body["id"])
+        connections.clear()
+        code, raw, _ = client.get(f"/v1/jobs/{body['id']}/events")
+        assert code == 200
+        (conn,) = connections
+        head, *chunks, terminator = conn["writes"]
+        assert head.startswith(b"HTTP/1.1 200") and head.endswith(b"\r\n\r\n")
+        assert terminator == b"0\r\n\r\n"
+        lines = [json.loads(chunk) for chunk in _chunks(chunks)]
+        assert [event["event"] for event in lines][-1] == "finished"
+        assert [event["seq"] for event in lines] == list(range(len(lines)))
+
+
+class TestServerHeap:
+    def test_retained_answers_stay_undecoded_text(self, tmp_path, server_factory):
+        from repro.farm import StoredPayload
+
+        app, client = server_factory(
+            cache_dir=str(tmp_path / "cache"), fleet_workers=2
+        )
+        job_ids = []
+        for _ in range(3):  # one cold batch, then warm ones
+            code, body, _ = client.submit("scenario1")
+            assert code == 202
+            assert client.wait(body["id"])["state"] == "DONE"
+            code, raw, _ = client.get(f"/v1/jobs/{body['id']}/result")
+            assert code == 200
+            job_ids.append(body["id"])
+        statuses = []
+        for job_id in job_ids:
+            report = app.queue.get(job_id).report
+            statuses.append({r.status for r in report.results})
+            for result in report.results:
+                assert isinstance(result.explanation, StoredPayload)
+                assert result.explanation._decoded is None
+        assert statuses == [{"EXACT"}, {"CACHED"}, {"CACHED"}]

@@ -6,9 +6,11 @@ agreement check:
 * **truth** -- fill the symbolized sketch with the probe's assignment,
   run the concrete control-plane simulation, and evaluate the global
   requirement terms of a *fresh* synthesizer encoding under the
-  simulated selection.  This never touches the engine's cached seed,
-  projection or lift artifacts, so a bug anywhere in that pipeline
-  cannot leak into the verdict it is being judged by.
+  simulated selection.  The encoding holds the requirement terms only:
+  the simulation, not the selection axioms, decides every selection
+  variable, so the axioms are never built.  This never touches the
+  engine's cached seed, projection or lift artifacts, so a bug anywhere
+  in that pipeline cannot leak into the verdict it is being judged by.
 * **claim** -- what the subspecification under audit says about the
   assignment: the conjunction of its lifted statements (each re-encoded
   here with the synthesizer encoder, not the lifting stage's cached
@@ -27,12 +29,11 @@ from typing import Dict, Mapping, Optional, Tuple
 from ..bgp.config import NetworkConfig
 from ..bgp.simulation import ConvergenceError, simulate
 from ..bgp.sketch import Hole
-from ..explain.seed import SeedSpecification, extract_seed
 from ..explain.subspec import Subspecification
 from ..runtime import Governor, ReproError
 from ..smt import And, Term
 from ..spec.ast import RequirementBlock, Specification, Statement
-from ..synthesis.encoder import Encoder
+from ..synthesis.encoder import Encoder, Encoding
 from .suite import AuditCase, renumber_routemaps
 
 __all__ = ["Oracle"]
@@ -41,12 +42,13 @@ __all__ = ["Oracle"]
 @dataclass
 class _Variant:
     """One world the oracle evaluates in: a (possibly mutated) sketch
-    plus its fresh seed encoding and ground requirement term."""
+    plus its fresh requirements-only encoding and ground requirement
+    term."""
 
     sketch: NetworkConfig
-    seed: SeedSpecification
+    encoding: Encoding
     requirement: Term
-    #: ``seed.encoding.selection_lookups()``, computed once per world.
+    #: ``encoding.selection_lookups()``, computed once per world.
     best_lookups: Tuple[Tuple[str, str, str, Tuple[str, ...]], ...]
 
 
@@ -96,24 +98,27 @@ class Oracle:
                 if mutation is not None
                 else self.sketch
             )
-            seed = extract_seed(
+            encoder = Encoder(
                 sketch,
                 self.spec,
-                self.holes,
                 self.max_path_length,
                 self.link_cost,
-                self.ibgp,
+                ibgp=self.ibgp,
                 governor=self.governor,
             )
+            # Every job hole gets its variable, including holes that no
+            # requirement candidate reaches (``_hole_env`` reads them).
+            encoder.holes.register_all(self.holes.values())
+            encoding = encoder.encode(include_selection=False)
             terms = []
-            for name, group in seed.encoding.groups.items():
+            for name, group in encoding.groups.items():
                 if name.startswith("requirement:"):
                     terms.extend(group)
             variant = _Variant(
                 sketch=sketch,
-                seed=seed,
+                encoding=encoding,
                 requirement=And(*terms),
-                best_lookups=seed.encoding.selection_lookups(),
+                best_lookups=encoding.selection_lookups(),
             )
             self._variants[mutation] = variant
         return variant
@@ -136,8 +141,8 @@ class Oracle:
         try:
             outcome = simulate(
                 filled,
-                link_cost=variant.seed.encoding.link_cost,
-                ibgp=variant.seed.encoding.ibgp,
+                link_cost=variant.encoding.link_cost,
+                ibgp=variant.encoding.ibgp,
                 governor=self.governor,
             )
         except ConvergenceError:
@@ -154,7 +159,7 @@ class Oracle:
     ) -> Dict[str, object]:
         env: Dict[str, object] = {}
         for name, value in assignment.items():
-            variable = variant.seed.encoding.holes.variable(name)
+            variable = variant.encoding.holes.variable(name)
             env[name] = value if variable.sort.is_int() else str(value)
         return env
 
@@ -230,9 +235,9 @@ class Oracle:
             encoder = Encoder(
                 variant.sketch,
                 local_spec,
-                variant.seed.encoding.space.max_path_length,
-                variant.seed.encoding.link_cost,
-                ibgp=variant.seed.encoding.ibgp,
+                variant.encoding.space.max_path_length,
+                variant.encoding.link_cost,
+                ibgp=variant.encoding.ibgp,
                 governor=self.governor,
             )
             term = encoder.encode(include_selection=False).constraint

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from ..topology.prefixes import Prefix
@@ -87,6 +87,10 @@ class Announcement:
     def path_length(self) -> int:
         return len(self.path)
 
+    # The builders below call the constructor directly rather than
+    # ``dataclasses.replace``, which re-reads every field by name; the
+    # simulator builds one announcement per hop, so this is hot.
+
     def extended_to(
         self, router: str, reset_local_pref: bool = True
     ) -> Optional["Announcement"]:
@@ -103,26 +107,44 @@ class Announcement:
         """
         if router in self.path:
             return None
-        return replace(
-            self,
-            path=self.path + (router,),
-            local_pref=DEFAULT_LOCAL_PREF if reset_local_pref else self.local_pref,
+        return Announcement(
+            self.prefix,
+            self.path + (router,),
+            self.next_hop,
+            DEFAULT_LOCAL_PREF if reset_local_pref else self.local_pref,
+            self.med,
+            self.communities,
         )
 
     def with_local_pref(self, local_pref: int) -> "Announcement":
-        return replace(self, local_pref=local_pref)
+        return Announcement(
+            self.prefix, self.path, self.next_hop, local_pref, self.med,
+            self.communities,
+        )
 
     def with_med(self, med: int) -> "Announcement":
-        return replace(self, med=med)
+        return Announcement(
+            self.prefix, self.path, self.next_hop, self.local_pref, med,
+            self.communities,
+        )
 
     def with_next_hop(self, next_hop: str) -> "Announcement":
-        return replace(self, next_hop=next_hop)
+        return Announcement(
+            self.prefix, self.path, next_hop, self.local_pref, self.med,
+            self.communities,
+        )
 
     def with_community(self, community: Community) -> "Announcement":
-        return replace(self, communities=self.communities | {community})
+        return Announcement(
+            self.prefix, self.path, self.next_hop, self.local_pref, self.med,
+            self.communities | {community},
+        )
 
     def without_communities(self) -> "Announcement":
-        return replace(self, communities=frozenset())
+        return Announcement(
+            self.prefix, self.path, self.next_hop, self.local_pref, self.med,
+            frozenset(),
+        )
 
     def traffic_path(self) -> Tuple[str, ...]:
         """Forwarding direction: holder first, origin last."""

@@ -64,7 +64,7 @@ from ..spec.ast import (
     Reachability,
     Specification,
 )
-from ..spec.semantics import expand_preference, violates_forbidden
+from ..spec.semantics import expand_preference
 from ..topology.paths import Path
 from .holes import HoleEncoder
 from .space import Candidate, CandidateSpace, EncodingError
@@ -103,17 +103,21 @@ class Encoding:
 
     def selection_lookups(self) -> Tuple[Tuple[str, str, str, Tuple[str, ...]], ...]:
         """One ``(variable name, router, prefix text, hops)`` per
-        selection variable, for evaluating the encoding under a
-        simulated RIB: the variable is true iff ``router`` selects the
-        announcement path ``hops`` for the prefix.  Read off the
-        candidate keys (:meth:`Candidate.key`), whose prefix text is
-        canonical and whose last hop is the holding router."""
-        lookups = []
-        for key, variable in self.best_vars.items():
-            prefix_text, hops_text = key.split("|", 1)
-            hops = tuple(hops_text.split("."))
-            lookups.append((variable.name, hops[-1], prefix_text, hops))
-        return tuple(lookups)
+        candidate of the space, for evaluating the encoding under a
+        simulated RIB: the selection variable ``best|{key}`` is true iff
+        ``router`` selects the announcement path ``hops`` for the
+        prefix.  A full encoding has exactly these selection variables;
+        a requirements-only one (``include_selection=False``) names a
+        subset of them, so the same lookups cover it too."""
+        return tuple(
+            (
+                f"best|{candidate.key()}",
+                candidate.router,
+                str(candidate.prefix),
+                candidate.path.hops,
+            )
+            for candidate in self.space.all()
+        )
 
     def filter_ok_of(self, candidate: Candidate) -> Term:
         return self.filter_ok[candidate.key()]
@@ -154,7 +158,7 @@ class Encoder:
         #: recorder events fire on hits too, so attaching a cache never
         #: changes an encoding or a read-set.
         self.transfer_cache = transfer_cache
-        self.space = CandidateSpace(config.topology, max_path_length, ibgp=ibgp)
+        self.space = CandidateSpace.of(config.topology, max_path_length, ibgp=ibgp)
         router_configs = [
             config.router_config(name) for name in config.topology.router_names
         ]
@@ -346,12 +350,12 @@ class Encoder:
 
     def _encode_forbidden(self, statement: ForbiddenPath) -> List[Term]:
         constraints: List[Term] = []
-        managed = self.specification.managed
+        violating = self.space.violating(statement.pattern, self.specification.managed)
         for candidate in self.space.all():
             self._checkpoint()
             if len(candidate.path) == 1:
                 continue
-            if violates_forbidden(candidate.traffic_path(), statement.pattern, managed):
+            if candidate.key() in violating:
                 self._state_of(candidate)
                 constraints.append(Not(self._filter_ok[candidate.key()]))
         if not constraints:

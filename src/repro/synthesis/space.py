@@ -11,11 +11,14 @@ space for its local-statement candidates.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import ClassVar, Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple
 
+from ..spec.semantics import violates_forbidden
 from ..topology.graph import Topology
-from ..topology.paths import Path, enumerate_simple_paths
+from ..topology.paths import Path, PathPattern, enumerate_simple_paths
 from ..topology.prefixes import Prefix
 
 __all__ = ["Candidate", "CandidateSpace", "EncodingError"]
@@ -62,6 +65,14 @@ class Candidate:
         return f"{self.prefix} via {self.path}"
 
 
+def _structure(topology: Topology) -> Hashable:
+    """Everything candidate enumeration reads from ``topology``."""
+    return (
+        tuple((router.name, router.asn, router.originated) for router in topology.routers),
+        frozenset(link.endpoints for link in topology.links),
+    )
+
+
 class CandidateSpace:
     """All candidate routes of a topology, indexed for the encoder.
 
@@ -74,7 +85,16 @@ class CandidateSpace:
     max_path_length:
         Optional bound on candidate path length (number of routers).
         Unbounded by default; the scaling benchmarks set it.
+
+    Encoders obtain their space through :meth:`of`, which shares one
+    space (and its memoized violation sets) between every encode of a
+    structurally identical topology.
     """
+
+    #: Spaces kept by :meth:`of`, most recently used last.
+    CACHE_SIZE: ClassVar[int] = 32
+    _cache: ClassVar["OrderedDict[Hashable, CandidateSpace]"] = OrderedDict()
+    _cache_lock: ClassVar[threading.Lock] = threading.Lock()
 
     def __init__(
         self,
@@ -88,7 +108,56 @@ class CandidateSpace:
         self._by_prefix_router: Dict[Tuple[str, str], List[Candidate]] = {}
         self._all: List[Candidate] = []
         self._origins: Dict[str, str] = {}
+        self._violating: Dict[
+            Tuple[PathPattern, FrozenSet[str]], FrozenSet[str]
+        ] = {}
         self._enumerate()
+
+    @classmethod
+    def of(
+        cls,
+        topology: Topology,
+        max_path_length: Optional[int] = None,
+        ibgp: bool = False,
+    ) -> "CandidateSpace":
+        """The shared space of ``topology``.
+
+        Spaces depend only on the topology's structure (routers, their
+        ASNs and originated prefixes, and the links), so the cache is
+        keyed on that structure rather than on the mutable
+        :class:`Topology` object: a topology edited after its space was
+        built gets a fresh space, and a cached space whose own topology
+        was edited since is rebuilt.
+        """
+        structure = _structure(topology)
+        key = (structure, max_path_length, ibgp)
+        with cls._cache_lock:
+            space = cls._cache.get(key)
+            if space is None or _structure(space.topology) != structure:
+                space = cls(topology, max_path_length, ibgp=ibgp)
+                cls._cache[key] = space
+            cls._cache.move_to_end(key)
+            while len(cls._cache) > cls.CACHE_SIZE:
+                cls._cache.popitem(last=False)
+        return space
+
+    def violating(
+        self, pattern: PathPattern, managed: FrozenSet[str] = frozenset()
+    ) -> FrozenSet[str]:
+        """Keys of the candidates whose traffic path contains a
+        ``pattern`` slice through ``managed`` (see
+        :func:`~repro.spec.semantics.violates_forbidden`), memoized per
+        (pattern, managed set)."""
+        memo_key = (pattern, frozenset(managed))
+        found = self._violating.get(memo_key)
+        if found is None:
+            found = frozenset(
+                candidate.key()
+                for candidate in self._all
+                if violates_forbidden(candidate.traffic_path(), pattern, managed)
+            )
+            found = self._violating.setdefault(memo_key, found)
+        return found
 
     def _enumerate(self) -> None:
         for prefix in self.topology.all_prefixes():

@@ -1,5 +1,7 @@
 """Unit tests for announcements and communities."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bgp import Announcement, Community, DEFAULT_LOCAL_PREF
@@ -90,3 +92,65 @@ class TestAnnouncement:
         text = str(ann)
         assert "10.0.0.0/24" in text
         assert "100:2" in text
+
+
+class TestBuildersMatchReplace:
+    """The builders construct directly; each must return exactly what
+    ``dataclasses.replace`` with the same field changes returned."""
+
+    @staticmethod
+    def _rich():
+        return Announcement(
+            prefix=PFX,
+            path=("A", "B"),
+            next_hop="B",
+            local_pref=150,
+            med=7,
+            communities=frozenset({Community(100, 1)}),
+        )
+
+    def test_every_builder_matches_replace(self):
+        ann = self._rich()
+        community = Community(100, 2)
+        pairs = [
+            (
+                ann.extended_to("C"),
+                replace(ann, path=("A", "B", "C"), local_pref=DEFAULT_LOCAL_PREF),
+            ),
+            (
+                ann.extended_to("C", reset_local_pref=False),
+                replace(ann, path=("A", "B", "C")),
+            ),
+            (ann.with_local_pref(40), replace(ann, local_pref=40)),
+            (ann.with_med(3), replace(ann, med=3)),
+            (ann.with_next_hop("X"), replace(ann, next_hop="X")),
+            (
+                ann.with_community(community),
+                replace(ann, communities=ann.communities | {community}),
+            ),
+            (ann.without_communities(), replace(ann, communities=frozenset())),
+        ]
+        for built, expected in pairs:
+            assert type(built) is Announcement
+            assert built == expected
+            assert hash(built) == hash(expected)
+            assert built.to_dict() == expected.to_dict()
+
+    def test_builders_leave_the_original_untouched(self):
+        ann = self._rich()
+        before = ann.to_dict()
+        ann.extended_to("C")
+        ann.with_local_pref(1).with_med(2).with_next_hop("Y")
+        ann.with_community(Community(1, 1)).without_communities()
+        assert ann.to_dict() == before
+
+    def test_negative_local_pref_still_rejected(self):
+        with pytest.raises(ValueError):
+            self._rich().with_local_pref(-1)
+
+    def test_looping_path_still_rejected(self):
+        with pytest.raises(ValueError):
+            Announcement(prefix=PFX, path=("A", "B", "A"), next_hop="A")
+        # A builder never produces a loop: extending onto a router
+        # already on the path is refused instead.
+        assert self._rich().extended_to("A") is None

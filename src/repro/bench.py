@@ -130,8 +130,8 @@ def run_perline_once(scenario: Scenario) -> "_PerlineSample":
     """One cold per-line batch, per-job then family-dispatched.
 
     Both runs are fully cold: no artifact store, and the process's
-    shared-cache slot is dropped first so no family SAT session or
-    seed encode survives from a previous iteration.  Answers and cache
+    shared-cache slot is dropped first so no seed encode or
+    simulation survives from a previous iteration.  Answers and cache
     keys must be byte-identical between the two dispatch modes --
     a mismatch fails the bench rather than timing a wrong answer.
     """
@@ -161,13 +161,13 @@ def run_perline_once(scenario: Scenario) -> "_PerlineSample":
     counters = {
         name: value
         for name, value in shared.metrics.counters.items()
-        if name.startswith(("smt.session.", "farm.families"))
+        if name == "farm.families"
     }
     return _PerlineSample(solo.wall_s, shared.wall_s, counters)
 
 
 class _PerlineSample:
-    """Wall times and session counters of one cold per-line iteration."""
+    """Wall times and the family counter of one cold per-line iteration."""
 
     def __init__(self, solo_s: float, shared_s: float, counters: Dict[str, int]):
         self.solo_s = solo_s
@@ -657,8 +657,6 @@ _HEADLINE_COUNTERS = (
     "lift.candidates_evaluated",
     "simulate.rounds",
     "farm.families",
-    "smt.session.instances",
-    "smt.session.reuse",
     "serve.results",
     "serve.sched.dispatch",
     "farm.fleet.shared_warm_hits",

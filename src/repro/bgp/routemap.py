@@ -143,6 +143,10 @@ class RouteMapLine:
         return next(self.holes(), None) is not None
 
     def fill(self, assignment: Mapping[str, object]) -> "RouteMapLine":
+        """This line with its holes filled; a hole-free line is
+        immutable, so it is returned as is."""
+        if not self.has_holes():
+            return self
         return RouteMapLine(
             seq=self.seq,
             action=_fill(self.action, assignment),
@@ -230,7 +234,12 @@ class RouteMap:
         return next(self.holes(), None) is not None
 
     def fill(self, assignment: Mapping[str, object]) -> "RouteMap":
-        return RouteMap(self.name, tuple(line.fill(assignment) for line in self.lines))
+        """This map with its holes filled; a hole-free map is returned
+        as is."""
+        lines = tuple(line.fill(assignment) for line in self.lines)
+        if all(new is old for new, old in zip(lines, self.lines)):
+            return self
+        return RouteMap(self.name, lines)
 
     def with_line(self, line: RouteMapLine) -> "RouteMap":
         return RouteMap(self.name, self.lines + (line,))

@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="dispatch jobs individually instead of grouping job "
         "families (same device + requirement) onto one worker's "
-        "shared caches and incremental SAT session",
+        "shared caches",
     )
     explain_all.add_argument(
         "--retries",

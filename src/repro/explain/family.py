@@ -28,15 +28,6 @@ cache layer a worker process threads through every family member:
   *sketches* whenever the statement's encoding never traverses a
   symbolized route-map -- then the term is hole-free and, by
   hash-consing, identical under every sibling sketch.
-* ``certify`` maintains one assumption-based SAT session per family
-  (:class:`~repro.smt.incremental.TermSession`): the family's union
-  sketch is encoded **once**, and every member's projected verdicts are
-  re-checked by assuming per-hole selector literals -- solve once per
-  router family, assume per hole.  Agreement is counted
-  (``smt.session.agree`` / ``smt.session.disagree``), never asserted:
-  the SAT view asks "does *some* stable selection satisfy the
-  requirement" while projection asks about *the* converged one, and
-  the two legitimately diverge on ties and non-convergence.
 
 Every cache replays the transfer/simulation events it observed into
 the requesting job's :class:`~repro.farm.readset.TransferRecorder`
@@ -53,50 +44,28 @@ without ``--timeout``/``--budget``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..bgp.config import NetworkConfig
 from ..bgp.render import render_network, render_routemap
 from ..bgp.simulation import ConvergenceError, simulate
 from ..bgp.sketch import Hole, is_hole
 from ..obs import Instrumentation
-from ..smt import Term, TermSession
+from ..smt import Term
 from ..smt.builders import And
 from ..spec.ast import Specification
 from ..synthesis.encoder import Encoder, Encoding
 from ..synthesis.symexec import AttributeUniverse, SymbolicRoute
 from .lift import TERM_MISS
 from .seed import SeedSpecification
-from .symbolize import (
-    ACTION,
-    MATCH_ATTR,
-    MATCH_VALUE,
-    SET_ATTR,
-    FieldRef,
-    symbolize,
-)
+from .symbolize import FieldRef
 
 __all__ = [
     "SharedCaches",
     "SimulationCache",
     "StatementTermCache",
     "TransferCache",
-    "family_key",
 ]
-
-#: Projections larger than this are not re-checked against the family
-#: SAT session; the certificate is a per-assignment probe and a
-#: router-granularity question can enumerate thousands of assignments.
-CERTIFY_ASSIGNMENT_LIMIT = 64
-
-#: Mirrors :data:`repro.farm.job.LINE` without importing the farm
-#: (the farm layers on top of this package, not under it).
-_LINE = "line"
-
-
-def family_key(job) -> Tuple[object, ...]:
-    """The grouping key: siblings share device, requirement, shape."""
-    return (job.device, job.requirement, job.granularity, tuple(job.fields))
 
 
 def _sketch_key(holes: Dict[str, Hole]) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
@@ -370,108 +339,6 @@ class StatementTermCache:
             self._shared.setdefault(text, (term, seams))
 
 
-def _original_value(config: NetworkConfig, hole_name: str) -> object:
-    """The concrete field value a hole replaced in ``config``."""
-    ref = FieldRef.from_hole_name(hole_name)
-    routemap = config.get_map(ref.router, ref.direction, ref.neighbor)
-    if routemap is None:
-        raise KeyError(hole_name)
-    line = routemap.line(ref.seq)
-    if ref.field == ACTION:
-        return line.action
-    if ref.field == MATCH_ATTR:
-        return line.match_attr
-    if ref.field == MATCH_VALUE:
-        return line.match_value
-    clause = line.sets[ref.clause]
-    return clause.attribute if ref.field == SET_ATTR else clause.value
-
-
-class _FamilySession:
-    """One incremental SAT session per job family.
-
-    The family's *union* sketch (every member's symbolized fields at
-    once) is encoded against the family's requirement and blasted into
-    a single :class:`TermSession`.  Each member's projected verdicts
-    are then probed as assumption solves: the member's own holes take
-    the assignment under test, every sibling hole is pinned to its
-    original concrete value, and the formula is never re-encoded.
-    """
-
-    def __init__(self, shared: "SharedCaches", members: Sequence[object], job, obs) -> None:
-        self.config = shared.config
-        if job.granularity == _LINE and len(members) > 1:
-            refs = [
-                FieldRef(m.device, m.direction, m.neighbor, m.seq, f)
-                for m in members
-                for f in m.fields
-            ]
-            sketch, holes = symbolize(shared.config, refs)
-        else:
-            sketch, holes = job.symbolize(shared.config)
-        spec = (
-            shared.specification.restricted_to(job.requirement)
-            if job.requirement is not None
-            else shared.specification
-        )
-        encoding = Encoder(
-            sketch, spec, shared.max_path_length, None, ibgp=shared.ibgp,
-            transfer_cache=shared.transfers,
-        ).encode()
-        if obs is not None:
-            obs.count("engine.family.encodes")
-        self.encoding = encoding
-        self.holes = holes
-        self.session = TermSession(encoding.constraint, obs=obs)
-
-    def _selector(self, name: str, value: object, obs) -> Optional[int]:
-        try:
-            variable = self.encoding.holes.variable(name)
-        except KeyError:
-            # The hole's line was never traversed by this requirement's
-            # candidates; the formula does not constrain it.
-            if obs is not None:
-                obs.count("smt.session.unpinned")
-            return None
-        try:
-            pin = int(value) if variable.sort.is_int() else str(value)  # type: ignore[arg-type]
-            return self.session.selector(variable, pin)
-        except (KeyError, TypeError, ValueError):
-            if obs is not None:
-                obs.count("smt.session.unpinned")
-            return None
-
-    def check(self, projected, obs) -> None:
-        """Probe every projected verdict of one member against the
-        shared session, counting agreement."""
-        self.session.attach_obs(obs)
-        own: Set[str] = set(projected.holes)
-        pins: List[int] = []
-        for name in sorted(self.holes):
-            if name in own:
-                continue
-            literal = self._selector(name, _original_value(self.config, name), obs)
-            if literal is not None:
-                pins.append(literal)
-        for expected, assignments in (
-            (True, projected.acceptable),
-            (False, projected.rejected),
-        ):
-            for assignment in assignments:
-                assumptions = list(pins)
-                for name in sorted(assignment):
-                    literal = self._selector(name, assignment[name], obs)
-                    if literal is not None:
-                        assumptions.append(literal)
-                result = self.session.solve(assumptions)
-                if obs is not None:
-                    obs.count(
-                        "smt.session.agree"
-                        if result.satisfiable == expected
-                        else "smt.session.disagree"
-                    )
-
-
 class SharedCaches:
     """Every cross-job cache one worker process shares within a batch.
 
@@ -505,8 +372,6 @@ class SharedCaches:
         #: statement text -> (term, seams its encode traversed); the
         #: cross-sketch tier of :class:`StatementTermCache`.
         self._statement_terms: Dict[str, Tuple[Optional[Term], frozenset]] = {}
-        self._members: Dict[tuple, Tuple[object, ...]] = {}
-        self._sessions: Dict[tuple, Optional[_FamilySession]] = {}
 
     # -- seed sharing ---------------------------------------------------
 
@@ -620,38 +485,3 @@ class SharedCaches:
             self._statement_terms,
             blocked,
         )
-
-    # -- the family SAT session -----------------------------------------
-
-    def register_family(self, jobs: Sequence[object]) -> None:
-        """Declare the sibling set of a family before its members run
-        (the certifier encodes the union sketch of all members)."""
-        if not jobs:
-            return
-        self._members.setdefault(family_key(jobs[0]), tuple(jobs))
-
-    def certify(self, job, explanation, obs: Optional[Instrumentation] = None) -> None:
-        """Re-check one member's projected verdicts against the
-        family's shared SAT session (counted, never asserted)."""
-        projected = explanation.projected
-        if projected is None or explanation.status.name != "EXACT":
-            return
-        if projected.total_assignments > CERTIFY_ASSIGNMENT_LIMIT:
-            if obs is not None:
-                obs.count("smt.session.certify_skipped")
-            return
-        key = family_key(job)
-        if key in self._sessions:
-            session = self._sessions[key]
-        else:
-            try:
-                session = _FamilySession(
-                    self, self._members.get(key, (job,)), job, obs
-                )
-            except Exception:
-                session = None
-                if obs is not None:
-                    obs.count("smt.session.family_encode_errors")
-            self._sessions[key] = session
-        if session is not None:
-            session.check(projected, obs)

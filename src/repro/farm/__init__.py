@@ -26,9 +26,7 @@ build-system shell:
   fans work out and folds per-worker metrics into one report.
   Dispatch is per :class:`JobFamily` -- the per-line questions of one
   (device, requirement block) run back to back in one worker against
-  the shared caches of :mod:`repro.explain.family`, including one
-  incremental SAT session per family (solve once per router, assume
-  per hole);
+  the shared caches of :mod:`repro.explain.family`;
 * :mod:`repro.farm.supervise` -- the fault-tolerant supervisor:
   per-job hang watchdog, retry with capped backoff + deterministic
   jitter for transient failures, a quarantine ledger for jobs that

@@ -3,12 +3,12 @@
 :mod:`repro.farm.pool` and the :class:`~repro.farm.supervise.Supervisor`
 historically built a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
 per batch, so every batch paid process spawn *and* started with cold
-in-worker caches (the :class:`~repro.explain.family.SharedCaches` slot,
-the resident :class:`~repro.farm.store.ArtifactStore` handle, the warm
-incremental SAT sessions).  A :class:`WorkerFleet` keeps one set of
-worker processes alive for the lifetime of the owning process -- the
-serving layer spins one up at boot -- and batches borrow workers from
-it instead of forking their own.
+in-worker caches (the :class:`~repro.explain.family.SharedCaches` slot
+and the resident :class:`~repro.farm.store.ArtifactStore` handle).  A
+:class:`WorkerFleet` keeps one set of worker processes alive for the
+lifetime of the owning process -- the serving layer spins one up at
+boot -- and batches borrow workers from it instead of forking their
+own.
 
 Design points:
 

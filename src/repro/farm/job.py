@@ -101,11 +101,11 @@ class JobFamily:
 
     Per-line jobs of one router asked against one requirement differ
     only in which line they symbolize; dispatching them to the same
-    worker lets it share the seed encode, simulations, statement terms
-    and one incremental SAT session across the whole group (see
-    :mod:`repro.explain.family`).  A router-granularity job is its own
-    singleton family.  ``index`` preserves the family's first
-    appearance so batch reports keep the original job order.
+    worker lets it share the seed encode, simulations and statement
+    terms across the whole group (see :mod:`repro.explain.family`).
+    A router-granularity job is its own singleton family.  ``index``
+    preserves the family's first appearance so batch reports keep the
+    original job order.
     """
 
     index: int
@@ -117,11 +117,7 @@ class JobFamily:
 
     @property
     def key(self) -> Tuple[object, ...]:
-        first = self.jobs[0]
-        return (
-            first.device, first.requirement, first.granularity,
-            tuple(first.fields),
-        )
+        return family_key(self.jobs[0])
 
     @property
     def family_id(self) -> str:
@@ -131,6 +127,11 @@ class JobFamily:
 
     def __len__(self) -> int:
         return len(self.jobs)
+
+
+def family_key(job: ExplainJob) -> Tuple[object, ...]:
+    """The grouping key: siblings share device, requirement, shape."""
+    return (job.device, job.requirement, job.granularity, tuple(job.fields))
 
 
 def group_families(jobs: List[ExplainJob]) -> List[JobFamily]:
@@ -143,7 +144,7 @@ def group_families(jobs: List[ExplainJob]) -> List[JobFamily]:
     grouped: Dict[Tuple[object, ...], List[ExplainJob]] = {}
     order: List[Tuple[object, ...]] = []
     for job in jobs:
-        key = (job.device, job.requirement, job.granularity, tuple(job.fields))
+        key = family_key(job)
         if key not in grouped:
             grouped[key] = []
             order.append(key)

@@ -406,11 +406,6 @@ def run_job(
             shared=shared if governor is None else None,
         )
         explanation = job.run(engine)
-        if shared is not None and governor is None:
-            try:
-                shared.certify(job, explanation, obs)
-            except Exception:
-                obs.metrics.count("smt.session.certify_errors")
         payload = _answer_payload(explanation)
         answer: Mapping[str, Any] = payload
         if store is not None and explanation.status is ExplanationStatus.EXACT:
@@ -519,9 +514,9 @@ def reset_shared_slot() -> None:
     """Drop this thread's resident slot (shared caches + store handles).
 
     Serial batches run in the caller's own thread, so the slot -- and
-    with it every memoized family SAT session -- survives from one
+    with every memoized seed encode and simulation -- survives from one
     batch to the next.  Cold measurements (the ``perline`` bench) and
-    tests that assert on fresh-session counters call this first.
+    tests that assert on fresh-cache counters call this first.
     """
     _RESIDENT.shared_key = None
     _RESIDENT.shared = None
@@ -607,11 +602,11 @@ def run_family(
     """Answer one family's jobs in a single worker process.
 
     Members run back to back against one :class:`SharedCaches`, so the
-    family's seed encode, simulations, statement terms and incremental
-    SAT session are built once and reused.  Sharing is only enabled for
-    ungoverned runs (no ``timeout``, no per-job budget) *and* when the
-    caller supplies the batch's ``shared_key``; otherwise members run
-    exactly as individually dispatched jobs.  Per-job cache keys,
+    family's seed encode, simulations and statement terms are built
+    once and reused.  Sharing is only enabled for ungoverned runs (no
+    ``timeout``, no per-job budget) *and* when the caller supplies the
+    batch's ``shared_key``; otherwise members run exactly as
+    individually dispatched jobs.  Per-job cache keys,
     stores and read-sets are untouched either way -- a family is a
     dispatch unit, never a cache unit.
     """
@@ -630,7 +625,6 @@ def run_family(
         and all(budget is None for budget in budget_list)
     ):
         shared = _shared_for(shared_key, config, specification, options)
-        shared.register_family(jobs)
     results: List[JobResult] = []
     for job, budget, attempt in zip(jobs, budget_list, attempt_list):
         results.append(

@@ -50,7 +50,10 @@ def render_metrics(metrics: MetricsRegistry) -> str:
 
     Counters first, then gauges, then histogram summaries, each group
     name-sorted -- a deterministic function of the registry contents.
+    The registry is copied under its lock first, so a scrape never
+    iterates an instrument another thread is writing.
     """
+    metrics = MetricsRegistry().merge(metrics)
     lines: List[str] = []
     for name in sorted(metrics.counters):
         exposed = sanitize_metric_name(name)

@@ -1,9 +1,9 @@
 """Assumption-based incremental SAT sessions.
 
 Sibling queries in this codebase differ only in a handful of literals:
-per-line explanation jobs on one router ask about the same encoded
-formula under different hole assignments, and deletion-based MUS
-extraction re-asks the same conjunction minus one conjunct.  Solving
+deletion-based MUS extraction re-asks the same conjunction minus one
+conjunct, and checking projection against an encoding asks about the
+same encoded formula under different hole assignments.  Solving
 each variant from a cold solver throws away everything the previous
 call learned.
 

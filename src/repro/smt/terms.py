@@ -32,7 +32,7 @@ module deliberately exposes only the raw representation.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "Sort",
@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 Value = Union[bool, int, str]
+
+#: Marks a subterm not yet evaluated in :meth:`Term.evaluate`'s memo.
+_UNSET = object()
 
 
 class SortError(TypeError):
@@ -358,42 +361,60 @@ class Term:
 
         Raises ``KeyError`` if a free variable is missing from the
         assignment, and :class:`SortError` on ill-sorted input values.
+
+        Terms are hash-consed DAGs, so a shared subterm is evaluated
+        once per call.  Connectives short-circuit left to right, and
+        every subterm is visited in the order a tree walk would visit
+        it, so the same inputs raise the same error.
         """
+        return self._evaluate(assignment, {})
+
+    def _evaluate(self, assignment: Mapping[str, Value], memo: Dict["Term", Any]) -> Any:
         kind = self.kind
         if kind == TermKind.CONST:
-            return self.payload  # type: ignore[return-value]
+            return self.payload
+        value = memo.get(self, _UNSET)
+        if value is not _UNSET:
+            return value
+        children = self.children
         if kind == TermKind.VAR:
             value = assignment[self.payload]  # type: ignore[index]
             self._check_assignable(value)
-            return value
-        if kind == TermKind.NOT:
-            return not self.children[0].evaluate(assignment)
-        if kind == TermKind.AND:
-            return all(child.evaluate(assignment) for child in self.children)
-        if kind == TermKind.OR:
-            return any(child.evaluate(assignment) for child in self.children)
-        if kind == TermKind.IMPLIES:
-            lhs, rhs = self.children
-            return (not lhs.evaluate(assignment)) or bool(rhs.evaluate(assignment))
-        if kind == TermKind.IFF:
-            lhs, rhs = self.children
-            return bool(lhs.evaluate(assignment)) == bool(rhs.evaluate(assignment))
-        if kind == TermKind.EQ:
-            lhs, rhs = self.children
-            return lhs.evaluate(assignment) == rhs.evaluate(assignment)
-        if kind == TermKind.LE:
-            lhs, rhs = self.children
-            return lhs.evaluate(assignment) <= rhs.evaluate(assignment)  # type: ignore[operator]
-        if kind == TermKind.LT:
-            lhs, rhs = self.children
-            return lhs.evaluate(assignment) < rhs.evaluate(assignment)  # type: ignore[operator]
-        if kind == TermKind.ITE:
-            cond, then, orelse = self.children
-            branch = then if cond.evaluate(assignment) else orelse
-            return branch.evaluate(assignment)
-        if kind == TermKind.PLUS:
-            return sum(child.evaluate(assignment) for child in self.children)  # type: ignore[misc]
-        raise AssertionError(f"unhandled kind {kind}")
+        elif kind == TermKind.NOT:
+            value = not children[0]._evaluate(assignment, memo)
+        elif kind == TermKind.AND:
+            value = all(child._evaluate(assignment, memo) for child in children)
+        elif kind == TermKind.OR:
+            value = any(child._evaluate(assignment, memo) for child in children)
+        elif kind == TermKind.IMPLIES:
+            lhs, rhs = children
+            value = (not lhs._evaluate(assignment, memo)) or bool(
+                rhs._evaluate(assignment, memo)
+            )
+        elif kind == TermKind.IFF:
+            lhs, rhs = children
+            value = bool(lhs._evaluate(assignment, memo)) == bool(
+                rhs._evaluate(assignment, memo)
+            )
+        elif kind == TermKind.EQ:
+            lhs, rhs = children
+            value = lhs._evaluate(assignment, memo) == rhs._evaluate(assignment, memo)
+        elif kind == TermKind.LE:
+            lhs, rhs = children
+            value = lhs._evaluate(assignment, memo) <= rhs._evaluate(assignment, memo)
+        elif kind == TermKind.LT:
+            lhs, rhs = children
+            value = lhs._evaluate(assignment, memo) < rhs._evaluate(assignment, memo)
+        elif kind == TermKind.ITE:
+            cond, then, orelse = children
+            branch = then if cond._evaluate(assignment, memo) else orelse
+            value = branch._evaluate(assignment, memo)
+        elif kind == TermKind.PLUS:
+            value = sum(child._evaluate(assignment, memo) for child in children)
+        else:
+            raise AssertionError(f"unhandled kind {kind}")
+        memo[self] = value
+        return value
 
     def _check_assignable(self, value: Value) -> None:
         if self.sort.is_bool() and not isinstance(value, bool):

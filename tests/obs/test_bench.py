@@ -7,6 +7,10 @@ import pytest
 from repro.bench import SCENARIO_BUILDERS, format_report, run_bench, run_scenario_once
 from repro.cli import main
 from repro.explain import ACTION, ExplanationEngine
+from repro.farm import enumerate_jobs, group_families
+from repro.farm.keys import canonical_json
+from repro.farm.pool import run_batch
+from repro.farm.worker import reset_shared_slot
 from repro.obs import BenchReport, Instrumentation, SCHEMA_VERSION, write_report
 from repro.scenarios import scenario1
 
@@ -68,12 +72,25 @@ def test_perline_family_measures_family_dispatch():
     assert stages == {"perline", "perline.solo"}
     perline = report.stage("scenario1", "perline")
     assert perline is not None and perline.median_s > 0.0
-    # The counters pin the solver-reuse arithmetic the CI job gates on.
-    counters = perline.counters
-    assert counters["smt.session.instances"] == counters["farm.families"]
-    assert counters["smt.session.reuse"] > 0
     solo = report.stage("scenario1", "perline.solo")
     assert solo is not None and solo.counters == {}
+    scenario = scenario1()
+    config, spec = scenario.paper_config, scenario.specification
+    jobs = enumerate_jobs(config, spec, per_line=True)
+    assert perline.counters == {"farm.families": len(group_families(jobs))}
+
+    # The two dispatch modes the stage times give the same answers and
+    # cache keys, byte for byte.
+    def answers(share):
+        reset_shared_slot()
+        batch = run_batch(config, spec, jobs, cache_dir=None, share=share)
+        reset_shared_slot()
+        return [
+            (result.key, canonical_json({**result.explanation, "timings": {}}))
+            for result in batch.results
+        ]
+
+    assert answers(share=False) == answers(share=True)
 
 
 def test_run_scenario_once_nests_engine_spans_under_explain():

@@ -31,9 +31,14 @@ cache layer a worker process threads through every family member:
 
 Every cache replays the transfer/simulation events it observed into
 the requesting job's :class:`~repro.farm.readset.TransferRecorder`
-(capture is unfiltered; the recorder's own device filter and
-deduplication run on replay), so recorded read-sets -- and therefore
-cache keys and invalidation -- are byte-identical to unshared runs.
+(capture keeps one event per distinct transfer, keyed by
+:func:`transfer_key` like the recorder's own dedup, but no device
+filter; the recorder's filter runs on replay), so recorded read-sets
+-- and therefore cache keys and invalidation -- are byte-identical to
+unshared runs.  The farm additionally hands every member of one
+family a shared entry memo (see
+:class:`~repro.farm.readset.TransferRecorder`), so a transfer the
+siblings all observe is serialized and digested once.
 
 Sharing is only legal ungoverned: a deadline or budget makes answers
 depend on how much work *this* run performed, which a cache would
@@ -44,7 +49,7 @@ without ``--timeout``/``--budget``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..bgp.config import NetworkConfig
 from ..bgp.render import render_network, render_routemap
@@ -65,6 +70,8 @@ __all__ = [
     "SimulationCache",
     "StatementTermCache",
     "TransferCache",
+    "route_key",
+    "transfer_key",
 ]
 
 
@@ -77,30 +84,74 @@ def _sketch_key(holes: Dict[str, Hole]) -> Tuple[Tuple[str, Tuple[str, ...]], ..
     )
 
 
-class _CaptureRecorder:
-    """Buffers transfer events unfiltered for later replay.
+def route_key(state: SymbolicRoute) -> tuple:
+    """A symbolic attribute state as a hashable value.
 
-    The capturing run must not filter or deduplicate: a later job with
-    a *different* device filter replays the same stream through its own
-    recorder, which applies its own filtering.  Event order and
-    duplication are irrelevant to read-set bytes (the recorder dedups
-    and its payload sorts), so replay is exact.
+    Terms are hash-consed, so structurally equal states produce equal
+    keys even across encoder instances -- and two states with equal
+    keys serialize to the same payload.
+    """
+    return (
+        str(state.prefix),
+        state.local_pref,
+        state.med,
+        state.next_hop,
+        tuple(sorted((str(c), t) for c, t in state.communities.items())),
+    )
+
+
+def transfer_key(
+    seam: str, owner: str, direction: str, neighbor: str, route
+) -> tuple:
+    """The value identity of one route-map transfer's input.
+
+    ``route`` is a :class:`SymbolicRoute` on the ``"symbolic"`` seam
+    (keyed by :func:`route_key`) and a frozen, hashable
+    :class:`~repro.bgp.announcement.Announcement` on the
+    ``"concrete"`` one.  Read-set recording and event capture both
+    dedup on it; nothing is serialized to compute it.
+    """
+    if seam == "symbolic":
+        return (seam, owner, direction, neighbor, route_key(route))
+    return (seam, owner, direction, neighbor, route)
+
+
+class _CaptureRecorder:
+    """Buffers one event per distinct transfer for later replay.
+
+    The capturing run must not filter by device: a later job with a
+    *different* device filter replays the same stream through its own
+    recorder, which applies its own filtering.  Events are keyed by
+    :func:`transfer_key` and the first one wins -- exactly the
+    recorder's own dedup rule, so a dropped duplicate is one the
+    recorder would have ignored.  Event order and duplication never
+    reach read-set bytes (the recorder's payload sorts), so replay is
+    exact -- which is also why the two seams keep separate buffers.
     """
 
     def __init__(self) -> None:
-        self.events: List[Tuple[str, tuple]] = []
+        #: transfer key -> (state in, permit, state out)
+        self._symbolic: Dict[tuple, tuple] = {}
+        #: transfer key -> the announcement the map returned (or None)
+        self._concrete: Dict[tuple, object] = {}
 
-    def symbolic(self, *args: object) -> None:
-        self.events.append(("symbolic", args))
+    def symbolic(self, owner, direction, neighbor, state_in, permit, state_out) -> None:
+        key = transfer_key("symbolic", owner, direction, neighbor, state_in)
+        if key not in self._symbolic:
+            self._symbolic[key] = (state_in, permit, state_out)
 
-    def concrete(self, *args: object) -> None:
-        self.events.append(("concrete", args))
+    def concrete(self, owner, direction, neighbor, announcement, result) -> None:
+        key = transfer_key("concrete", owner, direction, neighbor, announcement)
+        if key not in self._concrete:
+            self._concrete[key] = result
 
     def replay(self, recorder) -> None:
         if recorder is None:
             return
-        for seam, args in self.events:
-            getattr(recorder, seam)(*args)
+        for (_, owner, direction, neighbor, _), event in self._symbolic.items():
+            recorder.symbolic(owner, direction, neighbor, *event)
+        for (_, owner, direction, neighbor, announcement), result in self._concrete.items():
+            recorder.concrete(owner, direction, neighbor, announcement, result)
 
 
 class TransferCache:
@@ -164,17 +215,6 @@ class TransferCache:
         self._universe_keys[id(universe)] = (universe, key)
         return key
 
-    def _state_key(self, state: SymbolicRoute) -> tuple:
-        # Terms are hash-consed: structurally equal states produce
-        # equal keys even across encoder instances.
-        return (
-            str(state.prefix),
-            state.local_pref,
-            state.med,
-            state.next_hop,
-            tuple(sorted((str(c), t) for c, t in state.communities.items())),
-        )
-
     def _key(
         self, export_map, import_map, session_is_ibgp: bool,
         state: SymbolicRoute, universe: AttributeUniverse,
@@ -186,7 +226,7 @@ class TransferCache:
             self._render(export_map),
             self._render(import_map),
             bool(session_is_ibgp),
-            self._state_key(state),
+            route_key(state),
         )
 
     def lookup(

@@ -11,21 +11,28 @@ The decision procedure mirrors ccache's two-level scheme:
    a. the attribute universe (collected on the job's sketch) must be
       unchanged -- it shapes every symbolic term;
    b. each touched seam whose route-map renders to the same text as
-      recorded is clean without further work;
-   c. seams whose text changed are *replayed*: every recorded input is
-      pushed through the new map (symbolically or concretely, matching
-      the seam it was recorded at) and the output fingerprint compared.
-      Behaviour-preserving edits -- renumbering sequence numbers,
-      renaming a map -- therefore keep the cache warm, while any edit
-      that changes what the job observed marks it dirty.
+      recorded is clean without further work -- when every seam is,
+      the read-set's head decides alone and its entries are never
+      loaded;
+   c. seams whose text changed are *replayed*: the entries artifact
+      is loaded, every recorded input is pushed through the new map
+      (symbolically or concretely, matching the seam it was recorded
+      at) and the output fingerprint compared.  Behaviour-preserving
+      edits -- renumbering sequence numbers, renaming a map -- therefore
+      keep the cache warm, while any edit that changes what the job
+      observed marks it dirty.
 
-Everything here is conservative: a missing or unparseable read-set
-means dirty, never "assume clean".
+Everything here is conservative: a missing or unparseable head, or
+entries that are missing or unparseable when a replay needs them,
+mean dirty, never "assume clean".  A head of an older schema reads as
+invalid, so a cache written before the head/entries split re-runs
+cold once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bgp.announcement import Announcement
 from ..bgp.config import NetworkConfig
@@ -36,7 +43,9 @@ from ..synthesis.symexec import AttributeUniverse, apply_routemap_symbolic
 from .keys import FarmOptions, job_key
 from .readset import (
     CONCRETE,
+    ENTRIES_STAGE,
     READSET_SCHEMA,
+    READSET_STAGE,
     SYMBOLIC,
     concrete_output_fingerprint,
     symbolic_output_fingerprint,
@@ -86,18 +95,23 @@ def _replay_concrete(entry: dict, routemap) -> bool:
 
 
 def readset_valid(
-    readset: Optional[dict],
+    head: Optional[dict],
     new_config: NetworkConfig,
     new_universe: AttributeUniverse,
+    load_entries: Callable[[], Optional[dict]],
 ) -> bool:
-    """Whether a stored read-set still describes ``new_config``."""
-    if not isinstance(readset, dict) or readset.get("schema") != READSET_SCHEMA:
+    """Whether a stored read-set still describes ``new_config``.
+
+    ``head`` is the read-set's head document; ``load_entries`` returns
+    its entries document (``None`` when missing or corrupt) and is
+    called only when some touched map's text changed.
+    """
+    if not isinstance(head, dict) or head.get("schema") != READSET_SCHEMA:
         return False
-    if readset.get("universe") != universe_payload(new_universe):
+    if head.get("universe") != universe_payload(new_universe):
         return False
     try:
-        maps: List[list] = list(readset["maps"])
-        entries: List[dict] = list(readset["entries"])
+        maps: List[list] = list(head["maps"])
     except (KeyError, TypeError):
         return False
 
@@ -116,6 +130,11 @@ def readset_valid(
     if not dirty_seams:
         return True
 
+    document = load_entries()
+    try:
+        entries: List[dict] = list(document["entries"])  # type: ignore[index]
+    except (KeyError, TypeError):
+        return False
     for entry in entries:
         if not isinstance(entry, dict):
             return False
@@ -165,12 +184,13 @@ def compute_dirty(
         if new_key != old_key:
             dirty.append(job)
             continue
-        readset = store.load(new_key, "readset")
-        if readset is None or store.load_text(new_key, "explanation") is None:
+        head = store.load(new_key, READSET_STAGE)
+        if head is None or store.load_text(new_key, "explanation") is None:
             dirty.append(job)
             continue
         universe = sketch_universe(new_config, job)
-        if readset_valid(readset, new_config, universe):
+        load_entries = partial(store.load, new_key, ENTRIES_STAGE)
+        if readset_valid(head, new_config, universe, load_entries):
             clean[job] = new_key
         else:
             dirty.append(job)

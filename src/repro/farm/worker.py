@@ -8,10 +8,12 @@ ship it to worker processes unchanged; running it inline is the serial
 Per-job flow::
 
     symbolize -> key -> full-hit probe (answer + valid read-set?)
-        hit:  return the stored answer (no pipeline work)
+        hit:  return the stored answer (no pipeline work; the read-set
+              entries are loaded only if a touched map's text changed)
         miss: run the governed engine with a JobStore (partial stage
               hits resume mid-pipeline) and a TransferRecorder, then
-              persist the answer + read-set iff the run was EXACT
+              persist the answer + read-set (entries, then head) iff
+              the run was EXACT
 
 Failures are contained: any exception becomes an ``ERROR`` result with
 the per-job metrics collected so far -- one failing device never kills
@@ -34,6 +36,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..bgp.config import NetworkConfig
@@ -58,7 +61,7 @@ from ..spec.printer import format_specification
 from .invalidate import readset_valid
 from .job import ExplainJob
 from .keys import FarmOptions, digest, job_key
-from .readset import TransferRecorder
+from .readset import ENTRIES_STAGE, READSET_STAGE, TransferRecorder
 from .report import (
     DEGRADED_STATUSES,
     OK_STATUSES,
@@ -309,13 +312,16 @@ def run_job(
     attempt: int = 1,
     chaos: Optional[ChaosPlan] = None,
     shared: Optional[SharedCaches] = None,
+    entry_memo: Optional[dict] = None,
 ) -> JobResult:
     """Answer one job, consulting and feeding the artifact store.
 
     ``shared`` threads a worker-process :class:`SharedCaches` through
     the engine (family dispatch passes it); it is dropped whenever a
     governor is in play -- sharing under a deadline or budget would let
-    one job's spend change another's answer.
+    one job's spend change another's answer.  ``entry_memo`` is the
+    family's read-set entry memo (see :class:`TransferRecorder`); it
+    only saves serialization work, so it is shared governed or not.
     """
     global _JOB_ORDINAL
     _JOB_ORDINAL += 1
@@ -356,10 +362,11 @@ def run_job(
     try:
         if store is not None:
             answer_text = store.load_text(key, "explanation")
-            readset = store.load(key, "readset")
-            if answer_text is not None and readset is not None:
+            head = store.load(key, READSET_STAGE)
+            if answer_text is not None and head is not None:
                 universe = _sketch_universe_of(sketch)
-                if readset_valid(readset, config, universe):
+                load_entries = partial(store.load, key, ENTRIES_STAGE)
+                if readset_valid(head, config, universe, load_entries):
                     obs.metrics.count("farm.cache.full_hit")
                     # Only the subspec is needed from the stored answer
                     # (the payload itself is returned as its stored
@@ -387,7 +394,7 @@ def run_job(
                     )
                 obs.metrics.count("farm.cache.invalidated")
 
-        recorder = TransferRecorder(job.device)
+        recorder = TransferRecorder(job.device, memo=entry_memo)
         governor = (
             Governor.of(timeout=timeout, budget=budget)
             if timeout is not None or budget is not None
@@ -411,7 +418,11 @@ def run_job(
         if store is not None and explanation.status is ExplanationStatus.EXACT:
             answer = StoredPayload(store.save(key, "explanation", payload))
             universe = _sketch_universe_of(sketch)
-            store.save(key, "readset", recorder.payload(config, universe))
+            head, entries = recorder.payload(config, universe)
+            # Entries first: a head on disk implies its entries were
+            # written (a missing entries artifact still reads as dirty).
+            store.save(key, ENTRIES_STAGE, entries)
+            store.save(key, READSET_STAGE, head)
             _apply_corrupt_chaos(chaos, store, job.job_id, key, ordinal, attempt)
         audit = (
             run_audit(
@@ -606,9 +617,11 @@ def run_family(
     once and reused.  Sharing is only enabled for ungoverned runs (no
     ``timeout``, no per-job budget) *and* when the caller supplies the
     batch's ``shared_key``; otherwise members run exactly as
-    individually dispatched jobs.  Per-job cache keys,
-    stores and read-sets are untouched either way -- a family is a
-    dispatch unit, never a cache unit.
+    individually dispatched jobs.  Members always share one read-set
+    entry memo, which only skips re-serializing transfers a sibling
+    already recorded.  Per-job cache keys, stores and read-sets are
+    untouched either way -- a family is a dispatch unit, never a cache
+    unit.
     """
     if options is None:
         options = FarmOptions()
@@ -625,6 +638,9 @@ def run_family(
         and all(budget is None for budget in budget_list)
     ):
         shared = _shared_for(shared_key, config, specification, options)
+    # Family-scoped on purpose: it dies with the family, so a
+    # long-lived worker's memory stays flat.
+    entry_memo: dict = {}
     results: List[JobResult] = []
     for job, budget, attempt in zip(jobs, budget_list, attempt_list):
         results.append(
@@ -632,6 +648,7 @@ def run_family(
                 config, specification, job, options=options,
                 cache_dir=cache_dir, timeout=timeout, budget=budget,
                 attempt=attempt, chaos=chaos, shared=shared,
+                entry_memo=entry_memo,
             )
         )
     if results:

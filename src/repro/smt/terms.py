@@ -171,9 +171,13 @@ class Term:
         Kind-specific extra data: the Python value for constants, the
         variable name for variables, the domain tuple for integer
         variables (stored separately in :attr:`domain`).
+
+    Hash-consing makes structural equality identity, so terms keep
+    :class:`object`'s ``__eq__`` and ``__hash__`` (C-level, address
+    based): dicts and sets keyed on terms pay no Python call per lookup.
     """
 
-    __slots__ = ("kind", "sort", "children", "payload", "domain", "_hash", "_free", "_size")
+    __slots__ = ("kind", "sort", "children", "payload", "domain", "_free", "_size")
 
     _table: dict = {}
 
@@ -195,7 +199,6 @@ class Term:
         obj.children = children
         obj.payload = payload
         obj.domain = domain
-        obj._hash = hash(key)
         obj._free = None
         obj._size = None
         cls._table[key] = obj
@@ -462,15 +465,6 @@ class Term:
     # ------------------------------------------------------------------
     # Dunder protocol
     # ------------------------------------------------------------------
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __ne__(self, other: object) -> bool:
-        return self is not other
 
     def __repr__(self) -> str:
         from .printer import to_infix  # local import to avoid a cycle

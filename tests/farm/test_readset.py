@@ -7,7 +7,8 @@ from repro.topology.prefixes import Prefix
 
 
 def _record_readset(config, specification, job):
-    """Run the pipeline with a recorder attached; return its payload."""
+    """Run the pipeline with a recorder attached; return its
+    ``(head, entries)`` documents."""
     from repro.explain.engine import ExplanationEngine
 
     recorder = TransferRecorder(job.device)
@@ -15,6 +16,11 @@ def _record_readset(config, specification, job):
     job.run(engine)
     universe = sketch_universe(config, job)
     return recorder.payload(config, universe)
+
+
+def _valid(readset, config, universe):
+    head, entries = readset
+    return readset_valid(head, config, universe, lambda: entries)
 
 
 def _edit_map(config, router, direction, neighbor, transform):
@@ -80,7 +86,8 @@ def test_recorder_captures_identity_transfers(s1):
     is a visible change."""
     job = ExplainJob(device="R1", requirement="Req1")
     readset = _record_readset(s1.paper_config, s1.specification, job)
-    absent = [entry for entry in readset["maps"] if entry[3] is None]
+    head, _ = readset
+    absent = [entry for entry in head["maps"] if entry[3] is None]
     assert absent, "expected at least one recorded map-less seam"
 
 
@@ -88,7 +95,7 @@ def test_readset_valid_against_unchanged_config(s1):
     job = ExplainJob(device="R1", requirement="Req1")
     readset = _record_readset(s1.paper_config, s1.specification, job)
     universe = sketch_universe(s1.paper_config, job)
-    assert readset_valid(readset, s1.paper_config, universe)
+    assert _valid(readset, s1.paper_config, universe)
 
 
 def test_readset_survives_seq_renumbering(s1):
@@ -100,7 +107,7 @@ def test_readset_survives_seq_renumbering(s1):
         s1.paper_config, "R2", "out", "P2", lambda rm: _renumber(rm, 11)
     )
     universe = sketch_universe(edited, job)
-    assert readset_valid(readset, edited, universe)
+    assert _valid(readset, edited, universe)
 
 
 def test_readset_detects_behavior_change(s1):
@@ -108,7 +115,7 @@ def test_readset_detects_behavior_change(s1):
     readset = _record_readset(s1.paper_config, s1.specification, job)
     edited = _edit_map(s1.paper_config, "R2", "out", "P2", _flip_actions)
     universe = sketch_universe(edited, job)
-    assert not readset_valid(readset, edited, universe)
+    assert not _valid(readset, edited, universe)
 
 
 def test_readset_detects_removed_map(s1):
@@ -117,14 +124,18 @@ def test_readset_detects_removed_map(s1):
     edited = s1.paper_config.copy()
     edited.router_config("R2").remove_map("out", "P2")
     universe = sketch_universe(edited, job)
-    assert not readset_valid(readset, edited, universe)
+    assert not _valid(readset, edited, universe)
 
 
 def test_garbage_readset_is_invalid(s1):
     job = ExplainJob(device="R1", requirement="Req1")
     universe = sketch_universe(s1.paper_config, job)
-    assert not readset_valid(None, s1.paper_config, universe)
-    assert not readset_valid({}, s1.paper_config, universe)
+    def no_entries():
+        raise AssertionError("a garbage head must not load entries")
+
+    assert not readset_valid(None, s1.paper_config, universe, no_entries)
+    assert not readset_valid({}, s1.paper_config, universe, no_entries)
     assert not readset_valid(
-        {"schema": "repro-farm-readset/1"}, s1.paper_config, universe
+        {"schema": "repro-farm-readset/1"}, s1.paper_config, universe,
+        no_entries,
     )

@@ -18,16 +18,19 @@ agreement check:
 
 Environment-mutation probes get their own fresh encoding of the
 mutated network, so truth and claim are always evaluated against the
-same world.
+same world.  Each world also owns a :class:`~repro.bgp.simulation.TransferMemo`:
+every probe fills the same sketch, so the session transfers a probe's
+holes do not reach are computed once per world.  The memo dies with
+the oracle; nothing is shared with the lifting pipeline or across jobs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..bgp.config import NetworkConfig
-from ..bgp.simulation import ConvergenceError, simulate
+from ..bgp.simulation import ConvergenceError, TransferMemo, simulate
 from ..bgp.sketch import Hole
 from ..explain.subspec import Subspecification
 from ..runtime import Governor, ReproError
@@ -50,6 +53,8 @@ class _Variant:
     requirement: Term
     #: ``encoding.selection_lookups()``, computed once per world.
     best_lookups: Tuple[Tuple[str, str, str, Tuple[str, ...]], ...]
+    #: Session transfers shared by this world's probe simulations.
+    memo: TransferMemo = field(default_factory=TransferMemo)
 
 
 class Oracle:
@@ -144,6 +149,7 @@ class Oracle:
                 link_cost=variant.encoding.link_cost,
                 ibgp=variant.encoding.ibgp,
                 governor=self.governor,
+                memo=variant.memo,
             )
         except ConvergenceError:
             return False, None

@@ -56,12 +56,15 @@ class RouterConfig:
             yield from self._maps[key].holes()
 
     def has_holes(self) -> bool:
-        return next(self.holes(), None) is not None
+        return any(routemap.has_holes() for routemap in self._maps.values())
 
     def fill(self, assignment: Mapping[str, object]) -> "RouterConfig":
+        """A copy with every holey map filled; hole-free maps are
+        immutable and pass through as the same objects."""
         filled = RouterConfig(self.router)
-        for (direction, neighbor), routemap in self._maps.items():
-            filled.set_map(direction, neighbor, routemap.fill(assignment))
+        filled._maps = {
+            key: routemap.fill(assignment) for key, routemap in self._maps.items()
+        }
         return filled
 
     def copy(self) -> "RouterConfig":
@@ -107,7 +110,7 @@ class NetworkConfig:
         return tuple(self.router_config(router).holes())
 
     def has_holes(self) -> bool:
-        return bool(self.holes())
+        return any(config.has_holes() for config in self._configs.values())
 
     def fill(self, assignment: Mapping[str, object]) -> "NetworkConfig":
         """A concrete copy with every hole replaced per ``assignment``."""

@@ -20,7 +20,7 @@ Var_Action Var_Param``) are represented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Optional, Tuple
 
 from ..topology.prefixes import Prefix
@@ -119,6 +119,9 @@ class RouteMapLine:
     match_attr: FieldValue[str] = MatchAttribute.ANY
     match_value: FieldValue[object] = None
     sets: Tuple[SetClause, ...] = ()
+    #: Whether any field is a hole.  The line is immutable, so this is
+    #: decided once, at construction; fills and hole checks read it.
+    _holey: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.seq < 0:
@@ -127,6 +130,7 @@ class RouteMapLine:
             raise ValueError(f"line {self.seq}: action must be permit/deny, got {self.action!r}")
         if not is_hole(self.match_attr) and self.match_attr not in MatchAttribute.ALL:
             raise ValueError(f"line {self.seq}: unknown match attribute {self.match_attr!r}")
+        object.__setattr__(self, "_holey", next(self.holes(), None) is not None)
 
     # ------------------------------------------------------------------
     # Holes
@@ -140,12 +144,12 @@ class RouteMapLine:
             yield from clause.holes()
 
     def has_holes(self) -> bool:
-        return next(self.holes(), None) is not None
+        return self._holey
 
     def fill(self, assignment: Mapping[str, object]) -> "RouteMapLine":
         """This line with its holes filled; a hole-free line is
         immutable, so it is returned as is."""
-        if not self.has_holes():
+        if not self._holey:
             return self
         return RouteMapLine(
             seq=self.seq,
@@ -206,6 +210,8 @@ class RouteMap:
 
     name: str
     lines: Tuple[RouteMapLine, ...] = ()
+    #: Whether any line holds a hole, decided once at construction.
+    _holey: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -215,6 +221,7 @@ class RouteMap:
         if len(set(seqs)) != len(seqs):
             raise ValueError(f"route-map {self.name}: duplicate sequence numbers {seqs}")
         object.__setattr__(self, "lines", ordered)
+        object.__setattr__(self, "_holey", any(line._holey for line in ordered))
 
     @classmethod
     def permit_all(cls, name: str) -> "RouteMap":
@@ -231,15 +238,14 @@ class RouteMap:
             yield from line.holes()
 
     def has_holes(self) -> bool:
-        return next(self.holes(), None) is not None
+        return self._holey
 
     def fill(self, assignment: Mapping[str, object]) -> "RouteMap":
         """This map with its holes filled; a hole-free map is returned
-        as is."""
-        lines = tuple(line.fill(assignment) for line in self.lines)
-        if all(new is old for new, old in zip(lines, self.lines)):
+        as is, and only its holey lines are rebuilt."""
+        if not self._holey:
             return self
-        return RouteMap(self.name, lines)
+        return RouteMap(self.name, tuple(line.fill(assignment) for line in self.lines))
 
     def with_line(self, line: RouteMapLine) -> "RouteMap":
         return RouteMap(self.name, self.lines + (line,))

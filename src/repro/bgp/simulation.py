@@ -35,12 +35,24 @@ per-round governor checkpoint and the ``simulate.rounds`` /
 re-advertising everything every round.  A test-only copy of that loop
 (``tests/bgp/reference_simulation.py``) is checked against this one
 on every case-study sketch fill.
+
+Transfers are also remembered across runs.  A :class:`TransferMemo`
+keeps, per ``(speaker, neighbor)`` session, the export and import map
+*objects* it saw and the arrival each ``(best announcement, iBGP
+flag)`` produced through them, plus the topology's originations.  A
+caller that simulates many fills of one sketch (the audit oracle, one
+memo per world) passes the same memo to every run: hole-free maps come
+out of ``fill`` as the same objects, so only the sessions whose maps a
+fill replaced re-run their transfers.  Without a memo, each run uses a
+fresh one.  The ranked ``candidates`` table is built from the
+converged adj-RIB-in on first access, since nothing on the production
+path reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import Instrumentation
 from ..runtime import Governor, ReproError
@@ -52,7 +64,7 @@ from .config import Direction, NetworkConfig
 from .decision import LinkCost, rank, select_best
 from .routemap import RouteMap
 
-__all__ = ["RoutingOutcome", "ConvergenceError", "simulate"]
+__all__ = ["RoutingOutcome", "ConvergenceError", "TransferMemo", "simulate"]
 
 
 class ConvergenceError(ReproError, RuntimeError):
@@ -64,21 +76,49 @@ class ConvergenceError(ReproError, RuntimeError):
     """
 
 
+#: A memo miss (``None`` is a remembered denial).
+_UNSEEN: Any = object()
+
+#: The converged adj-RIB-in's routes per (router, prefix str), in
+#: session slot order.
+Received = Dict[Tuple[str, str], Tuple[Announcement, ...]]
+#: One session's memoized transfers: (best announcement, iBGP flag) to
+#: the arrival, ``None`` when denied or looped.
+Transfers = Dict[Tuple[Announcement, bool], Optional[Announcement]]
+
+
 @dataclass
 class RoutingOutcome:
     """The converged control-plane state.
 
     ``rib`` maps ``(router, prefix str)`` to the selected best
-    announcement; ``candidates`` additionally records every route that
-    survived import filtering (the adj-RIB-in), which the verifier and
-    the explanation reports use to show *why* a route was or was not
-    chosen.
+    announcement; the verifier, the explanation pipeline and the audit
+    oracle read only this.  ``candidates`` ranks, best first, every
+    route that survived import filtering (the adj-RIB-in) plus the
+    router's own originations.  It is for diagnostics and tests, so a
+    simulated outcome keeps the adj-RIB-in's routes, builds the table
+    from them on first access and then drops them.
     """
 
     topology: Topology
     rib: Dict[Tuple[str, str], Announcement] = field(default_factory=dict)
-    candidates: Dict[Tuple[str, str], Tuple[Announcement, ...]] = field(default_factory=dict)
     rounds: int = 0
+    #: (adj-RIB-in routes, link cost) that ``candidates`` is built from.
+    _pending: Optional[Tuple[Received, Optional[LinkCost]]] = field(
+        default=None, repr=False, compare=False
+    )
+    _candidates: Optional[Dict[Tuple[str, str], Tuple[Announcement, ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def candidates(self) -> Dict[Tuple[str, str], Tuple[Announcement, ...]]:
+        if self._candidates is None:
+            pending, self._pending = self._pending, None
+            self._candidates = (
+                _ranked_candidates(self.topology, *pending) if pending is not None else {}
+            )
+        return self._candidates
 
     def best(self, router: str, prefix: Prefix) -> Optional[Announcement]:
         return self.rib.get((router, str(prefix)))
@@ -110,6 +150,52 @@ class RoutingOutcome:
         return "\n".join(lines)
 
 
+class TransferMemo:
+    """Session transfers remembered across simulations of one network.
+
+    ``sessions`` maps each ``(speaker, neighbor)`` session to the export
+    and import map objects its transfers were computed through and its
+    :data:`Transfers`.  Maps are compared with ``is``: a
+    filled holey map is a new object on every fill, so it replaces its
+    session's entry, and an entry keeps its maps alive, so their
+    identities cannot be reused.  It also holds the topology's own
+    facts: the originations (``own``), each router's ASN and the order
+    of a whole-table round's RIB (router by router, prefix by prefix).
+    The memo belongs to the topology object and ``ibgp`` setting it was
+    first used with, and starts over when a run passes others.
+    """
+
+    __slots__ = ("topology", "ibgp", "own", "asn_of", "rib_order", "sessions")
+
+    def __init__(self) -> None:
+        self.topology: Optional[Topology] = None
+        self.ibgp = False
+        self.own: Dict[Tuple[str, str], Announcement] = {}
+        self.asn_of: Dict[str, int] = {}
+        self.rib_order: List[Tuple[str, str]] = []
+        self.sessions: Dict[
+            Tuple[str, str], Tuple[Optional[RouteMap], Optional[RouteMap], Transfers]
+        ] = {}
+
+    def bind(self, topology: Topology, ibgp: bool) -> None:
+        """Start over unless the memo was built for this topology
+        object and ``ibgp`` setting."""
+        if self.topology is topology and self.ibgp == ibgp:
+            return
+        self.topology = topology
+        self.ibgp = ibgp
+        routers = topology.routers
+        self.own = {
+            (router.name, str(prefix)): Announcement.originate(prefix, router.name)
+            for router in routers
+            for prefix in router.originated
+        }
+        self.asn_of = {router.name: router.asn for router in routers}
+        texts = [str(prefix) for prefix in topology.all_prefixes()]
+        self.rib_order = [(router.name, text) for router in routers for text in texts]
+        self.sessions = {}
+
+
 def simulate(
     config: NetworkConfig,
     max_rounds: Optional[int] = None,
@@ -118,6 +204,7 @@ def simulate(
     governor: Optional[Governor] = None,
     obs: Optional[Instrumentation] = None,
     recorder=None,
+    memo: Optional[TransferMemo] = None,
 ) -> RoutingOutcome:
     """Run the control plane to convergence.
 
@@ -129,9 +216,13 @@ def simulate(
     ``concrete(owner, direction, neighbor, announcement, result)``),
     including identity transfers through absent maps, so callers can
     capture exactly which policy each simulation run read.  Each
-    distinct transfer is reported at least once; a transfer whose input
-    did not change since an earlier round is not re-run, so it is not
-    reported again.
+    distinct transfer is reported at least once; a transfer the run
+    already made is not re-run, so it is not reported again.
+
+    ``memo`` carries session transfers from earlier runs (see
+    :class:`TransferMemo`); a transfer it already holds is not re-run.
+    It cannot be combined with a ``recorder``, which must see every
+    distinct transfer of its own run.
 
     A ``governor`` is checkpointed once per simulation round (stage
     ``"simulate"``, budget kind ``"rounds"``), so deadlines and budgets
@@ -145,46 +236,55 @@ def simulate(
     Raises
     ------
     ValueError
-        If the configuration still contains holes.
+        If the configuration still contains holes, or both ``memo``
+        and ``recorder`` are given.
     ConvergenceError
         If selections oscillate beyond the round bound.
     """
     if config.has_holes():
         raise ValueError("cannot simulate a sketch; fill all holes first")
+    if memo is None:
+        memo = TransferMemo()
+    elif recorder is not None:
+        raise ValueError("a transfer memo cannot be combined with a recorder")
     topology = config.topology
-    routers = topology.routers
-    prefixes = topology.all_prefixes()
-    texts = [str(prefix) for prefix in prefixes]
+    memo.bind(topology, ibgp)
     bound = max_rounds if max_rounds is not None else 2 * max(4, len(topology)) + 4
-    asn_of = {router.name: router.asn for router in routers}
+    asn_of = memo.asn_of
 
     # Loop invariants: every session's transfer context, grouped by
     # speaker.  ``slot`` numbers a neighbor's incoming sessions in
     # session order, which is the order the neighbor's adj-RIB-in
-    # receives them.
+    # receives them; ``results`` is the session's memo entry for its
+    # current maps.
     outgoing_sessions: Dict[
-        str, List[Tuple[str, Optional[RouteMap], Optional[RouteMap], bool, int]]
+        str, List[Tuple[str, Optional[RouteMap], Optional[RouteMap], bool, int, Transfers]]
     ] = {}
-    incoming_order: Dict[str, List[int]] = {}
-    for index, (speaker, neighbor) in enumerate(topology.sessions()):
-        slots = incoming_order.setdefault(neighbor, [])
+    incoming_slots: Dict[str, int] = {}
+    sessions = memo.sessions
+    router_config = config.router_config
+    for session in topology.sessions():
+        speaker, neighbor = session
+        export_map = router_config(speaker).get_map(Direction.OUT, neighbor)
+        import_map = router_config(neighbor).get_map(Direction.IN, speaker)
+        entry = sessions.get(session)
+        if entry is None or entry[0] is not export_map or entry[1] is not import_map:
+            entry = sessions[session] = (export_map, import_map, {})
+        slot = incoming_slots.get(neighbor, 0)
+        incoming_slots[neighbor] = slot + 1
         outgoing_sessions.setdefault(speaker, []).append(
             (
                 neighbor,
-                config.get_map(speaker, Direction.OUT, neighbor),
-                config.get_map(neighbor, Direction.IN, speaker),
+                export_map,
+                import_map,
                 ibgp and asn_of[speaker] == asn_of[neighbor],
-                len(slots),
+                slot,
+                entry[2],
             )
         )
-        slots.append(index)
 
     # The router's own announcement per originated (router, prefix str).
-    own: Dict[Tuple[str, str], Announcement] = {}
-    for router in routers:
-        for prefix in router.originated:
-            own[(router.name, str(prefix))] = Announcement.originate(prefix, router.name)
-
+    own = memo.own
     # Current best per (router, prefix str).
     rib: Dict[Tuple[str, str], Announcement] = dict(own)
     # The adj-RIB-in per (router, prefix str), keyed by path.
@@ -208,7 +308,7 @@ def simulate(
             speaker, text = key
             best = rib.get(key)
             outgoing: Optional[Announcement] = None
-            for neighbor, export_map, import_map, session_is_ibgp, slot in (
+            for neighbor, export_map, import_map, session_is_ibgp, slot, results in (
                 outgoing_sessions.get(speaker, ())
             ):
                 arrived: Optional[Announcement] = None
@@ -219,39 +319,50 @@ def simulate(
                     and len(best.path) >= 2
                     and asn_of[best.path[-2]] == asn_of[speaker]
                 ):
-                    # Next-hop-self, then export policy (which may
-                    # override the next hop), then the hop itself.
-                    if outgoing is None:
-                        outgoing = best.with_next_hop(speaker)
-                    exported = (
-                        export_map.apply(outgoing) if export_map is not None else outgoing
-                    )
-                    if recorder is not None:
-                        recorder.concrete(
-                            speaker, Direction.OUT, neighbor, outgoing, exported
+                    transfer = (best, session_is_ibgp)
+                    arrived = results.get(transfer, _UNSEEN)
+                    if arrived is _UNSEEN:
+                        arrived = None
+                        # Next-hop-self, then export policy (which may
+                        # override the next hop), then the hop itself.
+                        if outgoing is None:
+                            outgoing = best.with_next_hop(speaker)
+                        exported = (
+                            export_map.apply(outgoing)
+                            if export_map is not None
+                            else outgoing
                         )
-                    if exported is not None:
-                        # None here is loop prevention.
-                        arrived = exported.extended_to(
-                            neighbor, reset_local_pref=not session_is_ibgp
-                        )
-                        if arrived is not None:
-                            imported = (
-                                import_map.apply(arrived)
-                                if import_map is not None
-                                else arrived
+                        if recorder is not None:
+                            recorder.concrete(
+                                speaker, Direction.OUT, neighbor, outgoing, exported
                             )
-                            if recorder is not None:
-                                recorder.concrete(
-                                    neighbor, Direction.IN, speaker, arrived, imported
+                        if exported is not None:
+                            # None here is loop prevention.
+                            arrived = exported.extended_to(
+                                neighbor, reset_local_pref=not session_is_ibgp
+                            )
+                            if arrived is not None:
+                                imported = (
+                                    import_map.apply(arrived)
+                                    if import_map is not None
+                                    else arrived
                                 )
-                            arrived = imported
+                                if recorder is not None:
+                                    recorder.concrete(
+                                        neighbor, Direction.IN, speaker, arrived, imported
+                                    )
+                                arrived = imported
+                        results[transfer] = arrived
                 target = (neighbor, text)
                 entries = arrivals.get(target)
                 if entries is None:
-                    entries = arrivals[target] = [None] * len(incoming_order[neighbor])
+                    entries = arrivals[target] = [None] * incoming_slots[neighbor]
                 previous = entries[slot]
-                if arrived != previous:
+                # Identity and None first: an announcement's ``!=`` is
+                # a Python-level call.
+                if arrived is not previous and (
+                    arrived is None or previous is None or arrived != previous
+                ):
                     entries[slot] = arrived
                     live += (arrived is not None) - (previous is not None)
                     touched[target] = None
@@ -278,8 +389,11 @@ def simulate(
             origination = own.get(key)
             pool = [origination] if origination is not None else []
             pool.extend(table.values())
-            best = select_best(pool, link_cost)
-            if best != rib.get(key):
+            best = pool[0] if len(pool) == 1 else select_best(pool, link_cost)
+            current = rib.get(key)
+            if best is not current and (
+                best is None or current is None or best != current
+            ):
                 if best is None:
                     del rib[key]
                 else:
@@ -287,9 +401,15 @@ def simulate(
                 changed_bests.append(key)
 
         if converged:
-            return _outcome(
-                topology, rib, adj_in, arrivals, incoming_order, texts,
-                round_index, link_cost,
+            if round_index > 1:
+                # The delta loop updated the RIB in place; restore a
+                # whole-table round's order.  A fixpoint in round 1
+                # keeps the originations' order, which no selection
+                # has touched.
+                rib = {key: rib[key] for key in memo.rib_order if key in rib}
+            received = {key: tuple(table.values()) for key, table in adj_in.items()}
+            return RoutingOutcome(
+                topology, rib=rib, rounds=round_index, _pending=(received, link_cost)
             )
 
     raise ConvergenceError(
@@ -298,48 +418,33 @@ def simulate(
     )
 
 
-def _outcome(
-    topology: Topology,
-    rib: Dict[Tuple[str, str], Announcement],
-    adj_in: Dict[Tuple[str, str], Dict[Tuple[str, ...], Announcement]],
-    arrivals: Mapping[Tuple[str, str], List[Optional[Announcement]]],
-    incoming_order: Mapping[str, List[int]],
-    texts: List[str],
-    rounds: int,
-    link_cost: Optional[LinkCost],
-) -> RoutingOutcome:
-    """The converged state, in the dict order of a whole-table round.
+def _ranked_candidates(
+    topology: Topology, received: Received, link_cost: Optional[LinkCost]
+) -> Dict[Tuple[str, str], Tuple[Announcement, ...]]:
+    """The ranked candidate tables, in the dict order of a whole-table
+    round.
 
-    A whole-table round builds the RIB router by router, prefix by
-    prefix, and the adj-RIB-in in the order announcements first arrive
-    (by session, then prefix); the delta loop updates both in place, so
-    the order is restored here.  A fixpoint in round 1 keeps the
-    originations' order, which no selection has touched.
+    A whole-table round adds an adj-RIB-in key when its first
+    announcement arrives, by session, then prefix; originations
+    follow, router by router.  Each table is filled in session slot
+    order, so its first entry came over the key's first live session,
+    whose speaker is that entry's advertiser.
     """
-    if rounds > 1:
-        rib = {
-            key: rib[key]
-            for key in (
-                (router.name, text) for router in topology.routers for text in texts
-            )
-            if key in rib
-        }
-    position = {text: index for index, text in enumerate(texts)}
+    session_index = {session: index for index, session in enumerate(topology.sessions())}
+    position = {str(prefix): index for index, prefix in enumerate(topology.all_prefixes())}
 
     def first_arrival(key: Tuple[str, str]) -> Tuple[int, int]:
-        order = incoming_order[key[0]]
-        slot = next(
-            slot for slot, entry in enumerate(arrivals[key]) if entry is not None
-        )
-        return order[slot], position[key[1]]
+        first = received[key][0]
+        return session_index[(first.path[-2], key[0])], position[key[1]]
 
-    outcome = RoutingOutcome(topology, rib=rib, rounds=rounds)
-    for key in sorted(adj_in, key=first_arrival):
-        outcome.candidates[key] = tuple(rank(list(adj_in[key].values()), link_cost))
+    candidates = {
+        key: tuple(rank(received[key], link_cost))
+        for key in sorted(received, key=first_arrival)
+    }
     for router in topology.routers:
         for prefix in router.originated:
             key = (router.name, str(prefix))
             own = Announcement.originate(prefix, router.name)
-            existing = outcome.candidates.get(key, ())
-            outcome.candidates[key] = tuple(rank(list(existing) + [own], link_cost))
-    return outcome
+            existing = candidates.get(key, ())
+            candidates[key] = tuple(rank(list(existing) + [own], link_cost))
+    return candidates

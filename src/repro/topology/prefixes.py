@@ -31,12 +31,17 @@ class Prefix:
 
     # ``_text`` caches the canonical CIDR string: prefixes are keyed by
     # their text throughout (RIB keys, candidate keys, SMT names).
-    __slots__ = ("_network", "_text")
+    # ``_hash`` caches ``hash(self._network)`` -- the same value, so set
+    # and dict orders do not move -- because announcements, and every
+    # memo keyed on them, hash their prefix on each lookup, and
+    # ``IPv4Network.__hash__`` is Python code.
+    __slots__ = ("_network", "_text", "_hash")
 
     def __init__(self, text: Union[str, "Prefix", ipaddress.IPv4Network]) -> None:
         if isinstance(text, Prefix):
             self._network = text._network
             self._text = text._text
+            self._hash = text._hash
             return
         if isinstance(text, ipaddress.IPv4Network):
             self._network = text
@@ -46,6 +51,7 @@ class Prefix:
             except (ipaddress.AddressValueError, ipaddress.NetmaskValueError, ValueError) as exc:
                 raise PrefixError(f"invalid prefix {text!r}: {exc}") from None
         self._text = str(self._network)
+        self._hash = hash(self._network)
 
     @property
     def network_address(self) -> str:
@@ -84,7 +90,7 @@ class Prefix:
         )
 
     def __hash__(self) -> int:
-        return hash(self._network)
+        return self._hash
 
     def __str__(self) -> str:
         return self._text

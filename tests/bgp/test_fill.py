@@ -5,6 +5,11 @@ very object when it holds no hole, and rebuilds only what does.  Over
 every exhaustive fill of the case-study sketches, the result must equal
 what the rebuild-everything fill it replaced produced, map for map and
 rendered text for rendered text, and simulate to the same outcome.
+
+Lines and maps decide whether they hold a hole once, at construction;
+on every sketch and fill those flags must equal a fresh walk of the
+fields, and the short-circuiting ``has_holes`` of router and network
+configurations must agree with the holes they list.
 """
 
 import itertools
@@ -14,6 +19,7 @@ import pytest
 from repro.bgp import NetworkConfig, RouteMap, RouteMapLine, SetClause
 from repro.bgp.render import render_network
 from repro.bgp.routemap import _fill
+from repro.bgp.sketch import Hole
 from repro.bgp.simulation import ConvergenceError, simulate
 from repro.explain import ACTION
 from repro.explain.symbolize import symbolize_router
@@ -65,10 +71,53 @@ def maps(config):
             yield (router, direction, neighbor), router_config.get_map(direction, neighbor)
 
 
+def walks_to_a_hole(holes):
+    return next(iter(holes), None) is not None
+
+
+def check_hole_flags(config):
+    """Every cached flag and short-circuiting check equals a fresh walk."""
+    assert config.has_holes() == bool(config.holes())
+    for router in config.topology.router_names:
+        router_config = config.router_config(router)
+        assert router_config.has_holes() == walks_to_a_hole(router_config.holes())
+        assert router_config.has_holes() == bool(config.holes_of(router))
+        for direction, neighbor in router_config.sessions():
+            routemap = router_config.get_map(direction, neighbor)
+            assert routemap.has_holes() == walks_to_a_hole(routemap.holes())
+            for line in routemap.lines:
+                fresh = any(
+                    isinstance(value, Hole)
+                    for value in (line.action, line.match_attr, line.match_value)
+                ) or any(
+                    isinstance(clause.attribute, Hole) or isinstance(clause.value, Hole)
+                    for clause in line.sets
+                )
+                assert line.has_holes() == fresh
+                assert line.has_holes() == walks_to_a_hole(line.holes())
+
+
+def check_router_fill(sketch, assignment):
+    """``RouterConfig.fill`` passes every hole-free map through as the
+    same object."""
+    for router in sketch.topology.router_names:
+        source = sketch.router_config(router)
+        filled = source.fill(assignment)
+        assert filled is not source and not filled.has_holes()
+        assert filled.sessions() == source.sessions()
+        for direction, neighbor in source.sessions():
+            before = source.get_map(direction, neighbor)
+            after = filled.get_map(direction, neighbor)
+            assert (after is before) == (not before.has_holes())
+
+
 def check_fill(sketch, assignment):
     """``sketch.fill`` equals the rebuilding fill, keeps every hole-free
     map as the same object and rebuilds every map with a hole."""
     filled = sketch.fill(assignment)
+    check_hole_flags(sketch)
+    check_hole_flags(filled)
+    check_router_fill(sketch, assignment)
     reference = rebuild_fill(sketch, assignment)
     assert dict(maps(filled)) == dict(maps(reference))
     assert render_network(filled) == render_network(reference)

@@ -87,3 +87,38 @@ class TestValueSemantics:
             assert copy.length == original.length
         assert sorted(copies) == sorted(prefixes)
         assert [str(p) for p in sorted(copies)] == ["10.0.0.0/8", "10.0.0.0/16", "11.0.0.0/8"]
+
+
+class TestCachedHash:
+    """A prefix stores its hash at construction; the value must stay
+    ``hash(IPv4Network)`` so set and dict orders keyed on prefixes do
+    not move."""
+
+    TEXTS = ["0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "192.168.7.0/24", "203.0.113.9/32"]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_hash_is_the_network_hash_for_every_constructor(self, text):
+        network = ipaddress.IPv4Network(text)
+        for prefix in (
+            Prefix(text),
+            Prefix(network),
+            Prefix(Prefix(text)),
+            Prefix(Prefix(network)),
+        ):
+            assert hash(prefix) == hash(network)
+            assert hash(prefix) == hash(ipaddress.IPv4Network(str(prefix)))
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_hash_survives_pickle(self, protocol):
+        prefixes = [Prefix(text) for text in self.TEXTS]
+        copies = pickle.loads(pickle.dumps(prefixes, protocol=protocol))
+        for text, copy in zip(self.TEXTS, copies):
+            assert hash(copy) == hash(ipaddress.IPv4Network(text))
+            # A copy built from the unpickled prefix keeps the value too.
+            assert hash(Prefix(copy)) == hash(ipaddress.IPv4Network(text))
+
+    def test_set_order_matches_the_networks(self):
+        texts = [f"10.{a}.{b}.0/24" for a in range(8) for b in range(0, 256, 37)]
+        networks = [ipaddress.IPv4Network(text) for text in texts]
+        prefixes = [Prefix(text) for text in texts]
+        assert [str(p) for p in set(prefixes)] == [str(n) for n in set(networks)]

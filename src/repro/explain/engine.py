@@ -176,7 +176,9 @@ class ExplanationEngine:
     from whatever loads -- the persistence behind
     :mod:`repro.farm.store`.  The store must be scoped to a single
     question (the farm keys it by job); degraded stage outputs are
-    never saved.
+    never saved.  :meth:`take_saved_stages` hands the payloads saved
+    for the latest answer on, so encoding that answer does not encode
+    them again.
 
     ``recorder`` observes every route-map transfer the pipeline applies
     (duck-typed: ``symbolic(...)`` / ``concrete(...)``; see
@@ -232,6 +234,10 @@ class ExplanationEngine:
         # EXACT answers are cached: a degraded answer reflects the
         # budget state at the time it was cut short, not the question.
         self._cache: Dict[tuple, Explanation] = {}
+        # The stage payloads saved while answering ``_saved_for``; only
+        # the latest fresh answer's are kept, and taking them drops them.
+        self._saved: Dict[str, dict] = {}
+        self._saved_for: Optional[Explanation] = None
 
     # ------------------------------------------------------------------
 
@@ -409,6 +415,24 @@ class ExplanationEngine:
     def _save_stage(self, stage: str, payload: dict) -> None:
         if self.stage_store is not None:
             self.stage_store.save(stage, payload)
+            self._saved[stage] = payload
+
+    def take_saved_stages(self, explanation: Explanation) -> Dict[str, dict]:
+        """The stage payloads saved while producing ``explanation``.
+
+        Keyed by stage (``seed``, ``simplify``, ``projected``,
+        ``lift``); each is exactly what the serializer would encode for
+        that part of the answer.  Empty unless ``explanation`` is this
+        engine's latest freshly computed answer.  The engine forgets
+        the payloads once taken, so they live no longer than the caller
+        keeps them.
+        """
+        if explanation is not self._saved_for:
+            return {}
+        saved = self._saved
+        self._saved = {}
+        self._saved_for = None
+        return saved
 
     def _run(
         self,
@@ -423,6 +447,8 @@ class ExplanationEngine:
             else self.specification
         )
         requirement_name = requirement if requirement is not None else "<all>"
+        self._saved = {}
+        self._saved_for = None
         cache_key = self._cache_key(holes, requirement_name)
         cached = self._cache.get(cache_key)
         if cached is not None:
@@ -609,6 +635,7 @@ class ExplanationEngine:
 
     def _finish(self, explanation: Explanation, cache_key: tuple) -> Explanation:
         """Stamp budget accounting and cache exact answers."""
+        self._saved_for = explanation
         if self.governor is not None:
             for name, value in self.governor.accounting().items():
                 explanation.timings[name] = value

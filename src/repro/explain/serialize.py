@@ -251,8 +251,25 @@ def subspec_from_dict(payload: dict) -> Subspecification:
 # The whole explanation
 # ----------------------------------------------------------------------
 
-def explanation_to_dict(explanation: Explanation) -> dict:
-    """Encode an explanation as a JSON-safe dict (schema-stamped)."""
+def explanation_to_dict(
+    explanation: Explanation, saved: Optional[Dict[str, dict]] = None
+) -> dict:
+    """Encode an explanation as a JSON-safe dict (schema-stamped).
+
+    ``saved`` maps engine stage names (``seed``, ``simplify``,
+    ``projected``, ``lift``) to payloads already encoded from this
+    explanation's artifacts (see
+    :meth:`~repro.explain.engine.ExplanationEngine.take_saved_stages`);
+    they are embedded as they are instead of being encoded again.
+    """
+    encoded: Dict[str, dict] = saved or {}
+
+    def stage(name: str, artifact, encode) -> Optional[dict]:
+        if artifact is None:
+            return None
+        payload = encoded.get(name)
+        return payload if payload is not None else encode(artifact)
+
     return {
         "schema": SCHEMA,
         "device": explanation.device,
@@ -260,22 +277,10 @@ def explanation_to_dict(explanation: Explanation) -> dict:
         "status": explanation.status.value,
         "degradation": explanation.degradation,
         "timings": dict(explanation.timings),
-        "seed": seed_to_dict(explanation.seed) if explanation.seed is not None else None,
-        "simplified": (
-            simplified_to_dict(explanation.simplified)
-            if explanation.simplified is not None
-            else None
-        ),
-        "projected": (
-            projected_to_dict(explanation.projected)
-            if explanation.projected is not None
-            else None
-        ),
-        "lift": (
-            lift_result_to_dict(explanation.lift_result)
-            if explanation.lift_result is not None
-            else None
-        ),
+        "seed": stage("seed", explanation.seed, seed_to_dict),
+        "simplified": stage("simplify", explanation.simplified, simplified_to_dict),
+        "projected": stage("projected", explanation.projected, projected_to_dict),
+        "lift": stage("lift", explanation.lift_result, lift_result_to_dict),
         "subspec": subspec_to_dict(explanation.subspec),
     }
 

@@ -43,7 +43,7 @@ from ..bgp.config import NetworkConfig
 from ..bgp.render import render_network
 from ..explain.engine import Explanation, ExplanationEngine, ExplanationStatus
 from ..explain.family import SharedCaches
-from ..explain.serialize import subspec_from_dict
+from ..explain.serialize import explanation_to_dict, subspec_from_dict
 from ..obs import Instrumentation, MetricsRegistry
 from ..runtime import (
     CHAOS_CORRUPT,
@@ -145,11 +145,15 @@ class JobResult:
         return job_row(self)
 
 
-def _answer_payload(explanation: Explanation) -> dict:
+def _answer_payload(
+    explanation: Explanation, saved: Optional[Dict[str, dict]] = None
+) -> dict:
     """The persistent form of an answer: timings are run-specific
     measurements, not part of the answer, so they are stripped to keep
-    stored artifacts deterministic and byte-comparable."""
-    payload = explanation.to_dict()
+    stored artifacts deterministic and byte-comparable.  ``saved``
+    stage payloads are embedded, not encoded again (see
+    :func:`~repro.explain.serialize.explanation_to_dict`)."""
+    payload = explanation_to_dict(explanation, saved)
     payload["timings"] = {}
     return payload
 
@@ -413,7 +417,7 @@ def run_job(
             shared=shared if governor is None else None,
         )
         explanation = job.run(engine)
-        payload = _answer_payload(explanation)
+        payload = _answer_payload(explanation, engine.take_saved_stages(explanation))
         answer: Mapping[str, Any] = payload
         if store is not None and explanation.status is ExplanationStatus.EXACT:
             answer = StoredPayload(store.save(key, "explanation", payload))

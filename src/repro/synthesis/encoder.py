@@ -169,27 +169,30 @@ class Encoder:
         self._filter_ok: Dict[str, Term] = {}
         self._best: Dict[str, Term] = {}
         self._avail: Dict[str, Term] = {}
+        #: ``encode.*`` counts not yet counted into ``obs``; :meth:`encode`
+        #: counts them in once, when it returns or raises.
+        self._counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Per-candidate symbolic propagation
     # ------------------------------------------------------------------
 
+    def _tally(self, name: str) -> None:
+        self._counts[name] = self._counts.get(name, 0) + 1
+
     def _checkpoint(self) -> None:
         if self.governor is not None:
             self.governor.checkpoint("encode")
-        if self.obs is not None:
-            self.obs.count("encode.steps")
+        self._tally("encode.steps")
 
     def _state_of(self, candidate: Candidate) -> SymbolicRoute:
         key = candidate.key()
         cached = self._states.get(key)
         if cached is not None:
-            if self.obs is not None:
-                self.obs.count("encode.cache_hits")
+            self._tally("encode.cache_hits")
             return cached
         self._checkpoint()
-        if self.obs is not None:
-            self.obs.count("encode.candidates")
+        self._tally("encode.candidates")
         parent = candidate.parent()
         if parent is None:
             state = SymbolicRoute.originated(
@@ -462,7 +465,20 @@ class Encoder:
         (used by the explanation engine when checking *candidate local
         statements*, whose filter-level encodings are ground and do not
         need the selection variables).
+
+        The ``encode.*`` counters are tallied per call and counted into
+        ``obs`` once at the end (no span opens inside an encode, so the
+        stage they are attributed to is the same).
         """
+        try:
+            return self._encode(include_selection)
+        finally:
+            counts, self._counts = self._counts, {}
+            if self.obs is not None:
+                for name, amount in counts.items():
+                    self.obs.count(name, amount)
+
+    def _encode(self, include_selection: bool) -> Encoding:
         groups: Dict[str, Tuple[Term, ...]] = {}
         requirement_terms: List[Term] = []
         self._preference_mode_fallback = False

@@ -19,14 +19,9 @@ four frozen dataclasses instead of ad-hoc kwargs and dicts:
 All four carry schema-versioned ``to_json``/``from_json``; unknown
 schemas are rejected, not guessed at.  :func:`explain_batch` is the
 single execution entry point: it resolves the request's inputs, runs
-the supervised farm (retries, quarantine, crash-safe journal -- see
-:mod:`repro.farm.supervise`) and wraps the outcome.
-
-The pre-facade entry points (``repro.farm.run_batch`` and friends
-imported from the *package root*) still work but emit a
-``DeprecationWarning`` for one release; import from
-``repro.farm.pool`` / ``repro.farm.supervise`` directly for the
-engine-level API, or use this module for everything request-shaped.
+the supervised farm (retries, quarantine, crash-safe journal, and
+incremental ``since`` runs -- see :mod:`repro.farm.supervise`) and
+wraps the outcome.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from .explain.symbolize import (
 from .farm import report as farm_report
 from .farm.job import enumerate_jobs
 from .farm.keys import FarmOptions
-from .farm.pool import BatchReport as _FarmBatchReport, run_incremental
+from .farm.pool import BatchReport as _FarmBatchReport
 from .farm.supervise import SupervisePolicy, run_supervised
 from .farm.worker import JobResult
 from .spec.ast import Specification
@@ -621,9 +616,10 @@ def explain_batch(
 
     This is the one code path under the CLI's ``explain-all`` and the
     server's ``POST /v1/jobs``: enumerate the jobs, run the supervised
-    farm (or the incremental path for ``since`` requests), wrap the
-    outcome.  ``progress`` is invoked per settled job in the calling
-    thread; ``stop`` drains the batch at the next family boundary.
+    farm, wrap the outcome.  A ``since`` request settles the jobs its
+    edit left clean from the store and dispatches only the rest.
+    ``progress`` is invoked per settled job in the calling thread;
+    ``stop`` drains the batch at the next family boundary.
     ``chaos`` (a :class:`repro.runtime.ChaosPlan`) is an execution-side
     fault-injection knob, deliberately not part of the request schema;
     so is ``fleet`` (a :class:`repro.farm.fleet.WorkerFleet`), the
@@ -642,31 +638,24 @@ def explain_batch(
             wall_s=0.0,
         )
         return BatchReport.from_farm_report(empty)
+    since: Optional[NetworkConfig] = None
     if request.since is not None:
         _expect(cache_dir is not None, "incremental requests need a cache_dir")
         from .bgp.confparse import parse_network
 
         try:
-            old_config = parse_network(request.since, config.topology)
+            since = parse_network(request.since, config.topology)
         except Exception as exc:
             raise ApiError(f"unparsable since config: {exc}")
-        farm = run_incremental(
-            old_config, config, specification, jobs,
-            options=request.options(), cache_dir=cache_dir,
-            workers=request.workers, timeout=request.timeout,
-            budget=request.budget, scenario=request.name,
-            share=request.share,
-        )
-    else:
-        policy = request.policy()
-        if chaos is not None:
-            policy = replace(policy, chaos=chaos)
-        farm = run_supervised(
-            config, specification, jobs,
-            options=request.options(), cache_dir=cache_dir,
-            workers=request.workers, timeout=request.timeout,
-            budget=request.budget, scenario=request.name,
-            policy=policy, share=request.share,
-            progress=progress, stop=stop, fleet=fleet,
-        )
+    policy = request.policy()
+    if chaos is not None:
+        policy = replace(policy, chaos=chaos)
+    farm = run_supervised(
+        config, specification, jobs,
+        options=request.options(), cache_dir=cache_dir,
+        workers=request.workers, timeout=request.timeout,
+        budget=request.budget, scenario=request.name,
+        policy=policy, share=request.share,
+        progress=progress, stop=stop, fleet=fleet, since=since,
+    )
     return BatchReport.from_farm_report(farm)

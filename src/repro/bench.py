@@ -137,7 +137,7 @@ def run_perline_once(scenario: Scenario) -> "_PerlineSample":
     """
     from .farm.job import enumerate_jobs
     from .farm.keys import canonical_json
-    from .farm.pool import run_batch
+    from .farm.supervise import run_supervised
     from .farm.worker import reset_shared_slot
 
     config, spec = scenario.paper_config, scenario.specification
@@ -150,9 +150,9 @@ def run_perline_once(scenario: Scenario) -> "_PerlineSample":
         }
 
     reset_shared_slot()
-    solo = run_batch(config, spec, jobs, cache_dir=None, share=False)
+    solo = run_supervised(config, spec, jobs, cache_dir=None, share=False)
     reset_shared_slot()
-    shared = run_batch(config, spec, jobs, cache_dir=None, share=True)
+    shared = run_supervised(config, spec, jobs, cache_dir=None, share=True)
     reset_shared_slot()
     if answers(solo) != answers(shared):
         raise RuntimeError("family dispatch changed an answer payload")
@@ -229,7 +229,7 @@ def run_audit_once(scenario: Scenario) -> "_AuditSample":
 
     from .farm.job import enumerate_jobs
     from .farm.keys import FarmOptions
-    from .farm.pool import run_batch
+    from .farm.supervise import run_supervised
     from .farm.worker import reset_shared_slot
 
     config, spec = scenario.paper_config, scenario.specification
@@ -238,9 +238,9 @@ def run_audit_once(scenario: Scenario) -> "_AuditSample":
     tmp = tempfile.mkdtemp(prefix="repro-bench-audit-")
     try:
         reset_shared_slot()
-        cold = run_batch(config, spec, jobs, options=options, cache_dir=tmp)
+        cold = run_supervised(config, spec, jobs, options=options, cache_dir=tmp)
         reset_shared_slot()
-        warm = run_batch(config, spec, jobs, options=options, cache_dir=tmp)
+        warm = run_supervised(config, spec, jobs, options=options, cache_dir=tmp)
         reset_shared_slot()
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -5,7 +5,7 @@ from .blackbox import BlackboxExplanation, explain_blackbox
 from .certificate import AuditResult, Certificate, audit, make_certificate
 from .dossier import generate_dossier
 from .engine import Explanation, ExplanationEngine, ExplanationStatus
-from .family import SharedCaches, SimulationCache, TransferCache
+from .family import SharedCaches, SimulationCache
 from .lift import LiftResult, generate_candidates, lift
 from .project import ProjectedSpec, ProjectionError, project
 from .qa import question_and_answer
@@ -37,7 +37,6 @@ __all__ = [
     "ExplanationStatus",
     "SharedCaches",
     "SimulationCache",
-    "TransferCache",
     "BlackboxExplanation",
     "explain_blackbox",
     "Subspecification",

@@ -580,11 +580,6 @@ class ExplanationEngine:
                             if self.shared is not None
                             else None
                         ),
-                        transfer_cache=(
-                            self.shared.transfers
-                            if self.shared is not None
-                            else None
-                        ),
                     )
                     if lift_result.exhausted:
                         degradations.append("lift search interrupted")

@@ -8,12 +8,6 @@ the concrete simulations behind projection, the filter-level encodings
 of candidate local statements -- is repeated work.  This module is the
 cache layer a worker process threads through every family member:
 
-* :class:`TransferCache` memoizes the *symbolic hop*: applying a
-  hole-free (export map, import map) pair of some other router to an
-  attribute state.  Terms are globally hash-consed, so replaying a
-  cached hop yields the *same* term objects a fresh
-  ``apply_routemap_symbolic`` would build -- outputs stay
-  byte-identical by construction.
 * ``seed_for`` memoizes one **full** encode per sketch and reassembles
   each requirement's seed from the recorded per-group terms.  The
   selection axioms traverse every candidate regardless of which
@@ -52,15 +46,15 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from ..bgp.config import NetworkConfig
-from ..bgp.render import render_network, render_routemap
+from ..bgp.render import render_network
 from ..bgp.simulation import ConvergenceError, simulate
-from ..bgp.sketch import Hole, is_hole
+from ..bgp.sketch import Hole
 from ..obs import Instrumentation
 from ..smt import Term
 from ..smt.builders import And
 from ..spec.ast import Specification
 from ..synthesis.encoder import Encoder, Encoding
-from ..synthesis.symexec import AttributeUniverse, SymbolicRoute
+from ..synthesis.symexec import SymbolicRoute
 from .lift import TERM_MISS
 from .seed import SeedSpecification
 from .symbolize import FieldRef
@@ -69,7 +63,6 @@ __all__ = [
     "SharedCaches",
     "SimulationCache",
     "StatementTermCache",
-    "TransferCache",
     "route_key",
     "transfer_key",
 ]
@@ -152,103 +145,6 @@ class _CaptureRecorder:
             recorder.symbolic(owner, direction, neighbor, *event)
         for (_, owner, direction, neighbor, announcement), result in self._concrete.items():
             recorder.concrete(owner, direction, neighbor, announcement, result)
-
-
-class TransferCache:
-    """Memoizes symbolic propagation through a hole-free hop.
-
-    A hop is the (export map, import map) pair between two routers plus
-    the iBGP flag; its result on an input attribute state is five
-    values: ``(export_permit, after_export, after_hop, import_permit,
-    state_out)``.  Keys use the maps' rendered text (not identity: the
-    farm re-pickles configurations per job) and the input state's
-    hash-consed terms.  Hops whose maps contain holes are never cached:
-    applying a holey map registers hole variables with the running
-    encoder, which a cache hit would silently skip.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[tuple, tuple] = {}
-        #: id(map) -> (map, rendered text) -- the map reference keeps
-        #: the id stable for the memo's lifetime.
-        self._rendered: Dict[int, Tuple[object, Optional[str]]] = {}
-        self._hole_free: Dict[int, Tuple[object, bool]] = {}
-        self._universe_keys: Dict[int, Tuple[object, tuple]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _render(self, routemap) -> Optional[str]:
-        if routemap is None:
-            return None
-        memo = self._rendered.get(id(routemap))
-        if memo is not None:
-            return memo[1]
-        text = render_routemap(routemap)
-        self._rendered[id(routemap)] = (routemap, text)
-        return text
-
-    def _is_hole_free(self, routemap) -> bool:
-        if routemap is None:
-            return True
-        memo = self._hole_free.get(id(routemap))
-        if memo is not None:
-            return memo[1]
-        free = not any(
-            is_hole(line.action)
-            or is_hole(line.match_attr)
-            or is_hole(line.match_value)
-            or any(is_hole(c.attribute) or is_hole(c.value) for c in line.sets)
-            for line in routemap.lines
-        )
-        self._hole_free[id(routemap)] = (routemap, free)
-        return free
-
-    def _universe_key(self, universe: AttributeUniverse) -> tuple:
-        memo = self._universe_keys.get(id(universe))
-        if memo is not None:
-            return memo[1]
-        key = (
-            tuple(str(c) for c in universe.communities),
-            tuple(universe.next_hop_sort.values),
-        )
-        self._universe_keys[id(universe)] = (universe, key)
-        return key
-
-    def _key(
-        self, export_map, import_map, session_is_ibgp: bool,
-        state: SymbolicRoute, universe: AttributeUniverse,
-    ) -> Optional[tuple]:
-        if not (self._is_hole_free(export_map) and self._is_hole_free(import_map)):
-            return None
-        return (
-            self._universe_key(universe),
-            self._render(export_map),
-            self._render(import_map),
-            bool(session_is_ibgp),
-            route_key(state),
-        )
-
-    def lookup(
-        self, export_map, import_map, session_is_ibgp: bool,
-        state: SymbolicRoute, universe: AttributeUniverse,
-        obs: Optional[Instrumentation] = None,
-    ) -> Optional[tuple]:
-        key = self._key(export_map, import_map, session_is_ibgp, state, universe)
-        if key is None:
-            return None
-        hit = self._entries.get(key)
-        if hit is not None and obs is not None:
-            obs.count("encode.transfer_cache_hits")
-        return hit
-
-    def store(
-        self, export_map, import_map, session_is_ibgp: bool,
-        state: SymbolicRoute, universe: AttributeUniverse, result: tuple,
-    ) -> None:
-        key = self._key(export_map, import_map, session_is_ibgp, state, universe)
-        if key is not None:
-            self._entries[key] = result
 
 
 class SimulationCache:
@@ -401,7 +297,6 @@ class SharedCaches:
         self.max_path_length = max_path_length
         self.projection_limit = projection_limit
         self.ibgp = ibgp
-        self.transfers = TransferCache()
         self.simulations = SimulationCache()
         #: sketch key -> (full Encoding, captured transfer events)
         self._seeds: Dict[tuple, Tuple[Encoding, _CaptureRecorder]] = {}
@@ -442,7 +337,6 @@ class SharedCaches:
                     encoding = Encoder(
                         sketch, self.specification, self.max_path_length, None,
                         ibgp=self.ibgp, obs=obs, recorder=capture,
-                        transfer_cache=self.transfers,
                     ).encode()
                 except Exception:
                     # Some *other* requirement block may be what failed;
@@ -467,7 +361,7 @@ class SharedCaches:
         )
         encoding = Encoder(
             sketch, spec, self.max_path_length, None, ibgp=self.ibgp,
-            obs=obs, recorder=recorder, transfer_cache=self.transfers,
+            obs=obs, recorder=recorder,
         ).encode()
         return SeedSpecification(
             constraint=encoding.constraint, encoding=encoding, holes=dict(holes)

@@ -254,7 +254,6 @@ def _statement_term(
     obs: Optional[Instrumentation] = None,
     recorder=None,
     term_cache=None,
-    transfer_cache=None,
 ) -> Optional[Term]:
     """The filter-level encoding of a candidate statement on the sketch
     (same encoder as the synthesizer; selection axioms are not needed
@@ -289,7 +288,6 @@ def _statement_term(
             governor=governor,
             obs=obs,
             recorder=tap,
-            transfer_cache=transfer_cache,
         )
         encoding = encoder.encode(include_selection=False)
         term: Optional[Term] = encoding.constraint
@@ -314,7 +312,6 @@ def lift(
     obs: Optional[Instrumentation] = None,
     recorder=None,
     term_cache=None,
-    transfer_cache=None,
 ) -> LiftResult:
     """Search the specification language for an equivalent subspec.
 
@@ -346,7 +343,6 @@ def lift(
             term = _statement_term(
                 statement, sketch, specification, seed, governor=governor, obs=obs,
                 recorder=recorder, term_cache=term_cache,
-                transfer_cache=transfer_cache,
             )
             if term is None:
                 continue

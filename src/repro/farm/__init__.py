@@ -21,24 +21,24 @@ build-system shell:
   a stored read-set against an edited configuration decides whether a
   cached answer is still exact, so a one-device edit re-runs only that
   device's jobs;
-* :mod:`repro.farm.worker` / :mod:`repro.farm.pool` -- the per-job
-  runner (governed, gracefully degrading) and the process pool that
-  fans work out and folds per-worker metrics into one report.
-  Dispatch is per :class:`JobFamily` -- the per-line questions of one
-  (device, requirement block) run back to back in one worker against
-  the shared caches of :mod:`repro.explain.family`;
-* :mod:`repro.farm.supervise` -- the fault-tolerant supervisor:
-  per-job hang watchdog, retry with capped backoff + deterministic
-  jitter for transient failures, a quarantine ledger for jobs that
-  exhaust their retries, and a crash-safe run journal that lets a
-  killed batch ``--resume`` with only its unfinished jobs.
+* :mod:`repro.farm.worker` -- the per-job runner (governed,
+  gracefully degrading).  Dispatch is per :class:`JobFamily` -- the
+  per-line questions of one (device, requirement block) run back to
+  back in one worker against the shared caches of
+  :mod:`repro.explain.family`;
+* :mod:`repro.farm.supervise` -- the one batch executor, serial, on a
+  per-batch process pool or on a lent :class:`WorkerFleet`: per-job
+  hang watchdog, retry with capped backoff + deterministic jitter for
+  transient failures, a quarantine ledger for jobs that exhaust their
+  retries, a crash-safe run journal that lets a killed batch
+  ``--resume`` with only its unfinished jobs, and incremental
+  (``since``) runs that settle clean jobs from the store;
+* :mod:`repro.farm.pool` -- the :class:`BatchReport` every run
+  returns, with per-worker metrics folded into one registry.
 
 The CLI front-end is ``python -m repro.cli explain-all``; see
 ``docs/farm.md`` for the architecture.
 """
-
-import warnings
-from typing import Any
 
 from .fleet import FleetStats, WorkerFleet
 from .invalidate import compute_dirty, readset_valid, sketch_universe
@@ -77,35 +77,6 @@ from .worker import (
     shared_batch_key,
 )
 
-# The batch entrypoints moved behind the typed facade in ``repro.api``
-# (``explain_batch`` and friends); importing them from the farm root is
-# deprecated for one release.  PEP 562 module ``__getattr__`` keeps
-# ``from repro.farm import run_batch`` working -- with a warning --
-# while internal callers import from ``.pool`` / ``.supervise``
-# directly and stay silent.
-_DEPRECATED_ENTRYPOINTS = {
-    "run_batch": ("pool", "repro.api.explain_batch"),
-    "run_incremental": ("pool", "repro.api.explain_batch (with since=...)"),
-    "run_supervised": ("supervise", "repro.api.explain_batch"),
-}
-
-
-def __getattr__(name: str) -> Any:
-    moved = _DEPRECATED_ENTRYPOINTS.get(name)
-    if moved is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    submodule, replacement = moved
-    warnings.warn(
-        f"importing {name!r} from repro.farm is deprecated; "
-        f"use {replacement} or repro.farm.{submodule}.{name}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(f".{submodule}", __name__), name)
-
-
 __all__ = [
     "ExplainJob",
     "JobFamily",
@@ -131,13 +102,10 @@ __all__ = [
     "run_job",
     "shared_batch_key",
     "BatchReport",
-    "run_batch",
-    "run_incremental",
     "RunJournal",
     "SupervisePolicy",
     "Supervisor",
     "batch_signature",
-    "run_supervised",
     "REPORT_SCHEMA",
     "STATUS_EXACT",
     "STATUS_DEGRADED_LIFT",

@@ -21,7 +21,13 @@ from ..explain.symbolize import (
 )
 from ..spec.ast import Specification
 
-__all__ = ["ExplainJob", "JobFamily", "enumerate_jobs", "group_families"]
+__all__ = [
+    "ExplainJob",
+    "JobFamily",
+    "enumerate_jobs",
+    "group_families",
+    "member_indices",
+]
 
 ROUTER = "router"
 LINE = "line"
@@ -153,6 +159,19 @@ def group_families(jobs: List[ExplainJob]) -> List[JobFamily]:
         JobFamily(index=index, jobs=tuple(grouped[key]))
         for index, key in enumerate(order)
     ]
+
+
+def member_indices(
+    jobs: List[ExplainJob], families: List[JobFamily]
+) -> Dict[int, List[int]]:
+    """family.index -> each member's position in the original batch."""
+    positions: Dict[ExplainJob, List[int]] = {}
+    for index, job in enumerate(jobs):
+        positions.setdefault(job, []).append(index)
+    return {
+        family.index: [positions[job].pop(0) for job in family.jobs]
+        for family in families
+    }
 
 
 def enumerate_jobs(

@@ -344,12 +344,17 @@ class JobStore:
     engine) per job so stage artifacts can never leak across questions.
     """
 
-    def __init__(self, store: ArtifactStore, key: str) -> None:
+    def __init__(self, store: ArtifactStore, key: str, resume: bool = True) -> None:
         self.store = store
         self.key = key
+        #: Whether stored stages may be read back.  A job whose stored
+        #: answer failed read-set validation re-runs with ``False``:
+        #: its stages were computed against the same stale rest of the
+        #: network, so they are overwritten, never resumed from.
+        self.resume = resume
 
     def load(self, stage: str) -> Optional[dict]:
-        return self.store.load(self.key, stage)
+        return self.store.load(self.key, stage) if self.resume else None
 
     def save(self, stage: str, payload: dict) -> None:
         self.store.save(self.key, stage, payload)

@@ -1,8 +1,8 @@
-"""The fault-tolerant batch supervisor: treat worker death as routine.
+"""The batch executor: every batch, treating worker death as routine.
 
-:func:`repro.farm.pool.run_batch` is the minimal path -- one shot per
-job, no babysitting.  This module wraps the same workers in a
-:class:`Supervisor` whose contract is the ROADMAP's serving-layer
+:class:`Supervisor` is the one way a batch runs -- the CLI's
+``explain-all``, the serving layer and ``since`` (incremental)
+requests all go through it.  Its contract is the serving layer's
 prerequisite: *a batch completes, and reports every job exactly once,
 no matter what the processes under it do.*  The per-job state machine::
 
@@ -41,6 +41,19 @@ no matter what the processes under it do.*  The per-job state machine::
   replays the journal and re-dispatches only unfinished jobs; replayed
   results are byte-identical to what the killed run computed, and a
   torn final line (the crash landed mid-write) is ignored.
+* **Incremental** -- given the configuration a batch was last run
+  against (``since``), jobs whose stored read-set replays cleanly
+  against the new one (:func:`repro.farm.invalidate.compute_dirty`)
+  settle straight from the store, like replayed jobs; only the dirty
+  rest is dispatched.
+
+Where dispatched units run is decided by what the caller lends: a
+:class:`~repro.farm.fleet.WorkerFleet` means the fleet path; otherwise
+``workers`` > 1 builds a per-batch :class:`ProcessPoolExecutor` and
+``workers`` == 1 runs in-process.  The pool stays because it starts
+much faster than a fleet (forked children answer their first task in
+~10 ms; a spawned two-worker fleet takes ~0.5 s), and a one-off batch
+has no warm state to keep.
 
 Duplicate execution is safe by construction: workers only write
 content-addressed artifacts atomically, so an abandoned attempt that
@@ -63,20 +76,23 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from ..bgp.config import NetworkConfig
 from ..bgp.render import render_network
-from ..obs import MetricsRegistry
+from ..obs import Instrumentation, MetricsRegistry
 from ..runtime import ChaosPlan, ReproError, TRANSIENT, split_budget
 from ..spec.ast import Specification
 from ..spec.printer import format_specification
 from .fleet import WorkerFleet
-from .job import ExplainJob, group_families
+from .invalidate import compute_dirty
+from .job import ExplainJob, group_families, member_indices
 from .keys import FarmOptions, canonical_json, digest
 from .pool import BatchReport, _merge_metrics
 from .store import ArtifactStore, StoredPayload
 from .report import OK_STATUSES
 from .worker import (
     JobResult,
+    STATUS_CACHED,
     STATUS_ERROR,
     STATUS_QUARANTINED,
+    cached_result,
     run_family,
     shared_batch_key,
 )
@@ -451,7 +467,10 @@ class Supervisor:
         progress: Optional[Callable[[JobResult], None]] = None,
         stop: Optional[threading.Event] = None,
         fleet: Optional[WorkerFleet] = None,
+        since: Optional[NetworkConfig] = None,
     ) -> None:
+        if since is not None and cache_dir is None:
+            raise ValueError("incremental runs need a cache directory")
         self.config = config
         self.specification = specification
         self.jobs = list(jobs)
@@ -476,6 +495,9 @@ class Supervisor:
         #: caps the stream's simultaneous worker claims, so one request
         #: cannot monopolize a fleet shared with other batches.
         self.fleet = fleet
+        #: The configuration the cache was last filled against; jobs
+        #: its edit left clean settle from the store undispatched.
+        self.since = since
         self._stream = f"batch-{next(_STREAM_SERIAL)}"
         #: Identity of the batch's worker-side shared caches; ``None``
         #: disables sharing (explicitly, or because the run is
@@ -523,6 +545,9 @@ class Supervisor:
                         results[index] = done
                         self.metrics.count("farm.supervise.resumed")
             journal.start(fresh=not results)
+        if self.since is not None:
+            assert store is not None
+            self._settle_clean(results, journal, store)
         pending = self._units(results)
         try:
             if self.fleet is not None:
@@ -546,13 +571,54 @@ class Supervisor:
 
     # -- shared settle/fail machinery -----------------------------------
 
+    def _settle_clean(
+        self,
+        results: Dict[int, JobResult],
+        journal: Optional[RunJournal],
+        store: ArtifactStore,
+    ) -> None:
+        """Settle every unsettled job the ``since`` edit left clean.
+
+        A clean job's key is unchanged and its stored read-set replays
+        cleanly against the new configuration, so its stored answer is
+        exact: it settles as a ``CACHED`` row (audited when the batch
+        audits), journaled and reported like any other settled job.
+        """
+        assert self.since is not None
+        unsettled = [
+            (index, job)
+            for index, job in enumerate(self.jobs)
+            if index not in results
+        ]
+        dirty, clean = compute_dirty(
+            self.since, self.config, self.specification,
+            [job for _, job in unsettled], self.options, store,
+        )
+        self.metrics.count("farm.incremental.dirty", len(dirty))
+        self.metrics.count("farm.incremental.clean", len(clean))
+        for index, job in unsettled:
+            key = clean.get(job)
+            if key is None:
+                continue  # dirty: dispatched below
+            text = store.load_text(key, "explanation")
+            if text is None:
+                continue  # gone since compute_dirty read it: re-run
+            obs = Instrumentation()
+            result = cached_result(
+                self.config, self.specification, job, self.options, store,
+                key, text, obs,
+            )
+            obs.metrics.count(f"farm.jobs.{STATUS_CACHED}")
+            result.metrics = obs.metrics
+            self._record(index, result, results, journal)
+
     def _units(self, results: Dict[int, JobResult]) -> List[_Unit]:
         """Group unsettled jobs into first-dispatch units.
 
-        Family grouping mirrors :func:`repro.farm.pool.run_batch`:
-        whole families with ``share``, singletons without.  Jobs
-        already settled (journal replay) are dropped from their unit --
-        a resumed family re-dispatches only its unfinished members.
+        Whole families with ``share``, singletons without.  Jobs
+        already settled (journal replay, or clean under ``since``) are
+        dropped from their unit -- a resumed family re-dispatches only
+        its unfinished members.
         """
         attempts = {
             index: _Attempt(index=index, job=job)
@@ -561,10 +627,8 @@ class Supervisor:
         }
         if not self.share:
             return [[attempts[index]] for index in sorted(attempts)]
-        from .pool import _member_indices
-
         families = group_families(self.jobs)
-        members = _member_indices(self.jobs, families)
+        members = member_indices(self.jobs, families)
         units: List[_Unit] = []
         for family in families:
             unit = [
@@ -597,7 +661,17 @@ class Supervisor:
             )
             return
         result.attempts = att.attempt
-        results[att.index] = result
+        self._record(att.index, result, results, journal)
+
+    def _record(
+        self,
+        index: int,
+        result: JobResult,
+        results: Dict[int, JobResult],
+        journal: Optional[RunJournal],
+    ) -> None:
+        """Settle one job: keep, journal and report its result."""
+        results[index] = result
         if journal is not None:
             journal.record(result)
         if self.progress is not None:
@@ -635,7 +709,6 @@ class Supervisor:
             duration_s=0.0, error=error_text, error_kind=TRANSIENT,
             attempts=att.attempt, quarantined=True,
         )
-        results[att.index] = result
         if store is not None:
             store.quarantine_add(
                 {
@@ -645,10 +718,7 @@ class Supervisor:
                     "errors": chain,
                 }
             )
-        if journal is not None:
-            journal.record(result)
-        if self.progress is not None:
-            self.progress(result)
+        self._record(att.index, result, results, journal)
         quarantined = sum(1 for r in results.values() if r.quarantined)
         limit = self.policy.max_quarantine
         if limit is not None and quarantined > limit:
@@ -978,10 +1048,11 @@ def run_supervised(
     progress: Optional[Callable[[JobResult], None]] = None,
     stop: Optional[threading.Event] = None,
     fleet: Optional[WorkerFleet] = None,
+    since: Optional[NetworkConfig] = None,
 ) -> BatchReport:
     """Answer every job under supervision; see :class:`Supervisor`."""
     return Supervisor(
         config, specification, jobs, options, cache_dir, workers,
         timeout, budget, scenario, policy, share=share,
-        progress=progress, stop=stop, fleet=fleet,
+        progress=progress, stop=stop, fleet=fleet, since=since,
     ).run()

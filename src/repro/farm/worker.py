@@ -11,7 +11,8 @@ Per-job flow::
         hit:  return the stored answer (no pipeline work; the read-set
               entries are loaded only if a touched map's text changed)
         miss: run the governed engine with a JobStore (partial stage
-              hits resume mid-pipeline) and a TransferRecorder, then
+              hits resume mid-pipeline, unless a stale answer was
+              stored) and a TransferRecorder, then
               persist the answer + read-set (entries, then head) iff
               the run was EXACT
 
@@ -75,6 +76,7 @@ from .store import ArtifactStore, JobStore, StoredPayload
 __all__ = [
     "JobResult",
     "audit_artifact_key",
+    "cached_result",
     "reset_shared_slot",
     "run_audit",
     "run_family",
@@ -305,6 +307,44 @@ def run_audit(
     return payload
 
 
+def cached_result(
+    config: NetworkConfig,
+    specification: Specification,
+    job: ExplainJob,
+    options: FarmOptions,
+    store: ArtifactStore,
+    key: str,
+    answer_text: str,
+    obs: Instrumentation,
+    sketch: Optional[NetworkConfig] = None,
+    holes=None,
+) -> JobResult:
+    """The ``CACHED`` result of a stored answer known exact for ``config``.
+
+    Only the subspec is decoded from the stored answer (the payload
+    itself is returned as its stored text); rebuilding the full
+    Explanation -- seed encode, simplified and projected terms -- would
+    dominate the cached-hit path for nothing.  Audited batches still
+    audit the answer (the verdict is store-cached, so warm replays are
+    free).
+    """
+    obs.metrics.count("farm.cache.full_hit")
+    cached = StoredPayload(answer_text)
+    audit = (
+        run_audit(
+            config, specification, job, options, store, key, cached, obs,
+            sketch=sketch, holes=holes,
+        )
+        if options.audit
+        else None
+    )
+    return JobResult(
+        job=job, key=key, status=STATUS_CACHED, cached=True, duration_s=0.0,
+        subspec=subspec_from_dict(cached["subspec"]).render(),
+        explanation=cached, audit=audit,
+    )
+
+
 def run_job(
     config: NetworkConfig,
     specification: Specification,
@@ -364,6 +404,7 @@ def run_job(
         )
 
     try:
+        answer_text = None
         if store is not None:
             answer_text = store.load_text(key, "explanation")
             head = store.load(key, READSET_STAGE)
@@ -371,29 +412,11 @@ def run_job(
                 universe = _sketch_universe_of(sketch)
                 load_entries = partial(store.load, key, ENTRIES_STAGE)
                 if readset_valid(head, config, universe, load_entries):
-                    obs.metrics.count("farm.cache.full_hit")
-                    # Only the subspec is needed from the stored answer
-                    # (the payload itself is returned as its stored
-                    # text); rebuilding the full Explanation -- seed
-                    # encode, simplified and projected terms -- would
-                    # dominate the cached-hit path for nothing.
-                    cached = StoredPayload(answer_text)
-                    restored = subspec_from_dict(cached["subspec"])
-                    audit = (
-                        run_audit(
-                            config, specification, job, options, store,
-                            key, cached, obs, sketch=sketch, holes=holes,
-                        )
-                        if options.audit
-                        else None
-                    )
                     return finish(
-                        JobResult(
-                            job=job, key=key, status=STATUS_CACHED,
-                            cached=True, duration_s=0.0,
-                            subspec=restored.render(),
-                            explanation=cached,
-                            audit=audit,
+                        cached_result(
+                            config, specification, job, options, store,
+                            key, answer_text, obs, sketch=sketch,
+                            holes=holes,
                         )
                     )
                 obs.metrics.count("farm.cache.invalidated")
@@ -412,7 +435,14 @@ def run_job(
             ibgp=options.ibgp,
             governor=governor,
             obs=obs,
-            stage_store=JobStore(store, key) if store is not None else None,
+            # Stages resume only where no answer was ever stored (an
+            # interrupted run); a stored answer that reached this point
+            # is stale, and so are the stages it was built from.
+            stage_store=(
+                JobStore(store, key, resume=answer_text is None)
+                if store is not None
+                else None
+            ),
             recorder=recorder,
             shared=shared if governor is None else None,
         )

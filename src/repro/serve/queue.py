@@ -215,9 +215,11 @@ class JobQueue:
         self._order: List[str] = []
         self._deficits: Dict[str, float] = {}
         self._cursor = 0
-        #: Whether the tenant under the cursor has banked its weight
-        #: for the current stop (reset whenever the rotation moves on).
-        self._banked = False
+        #: The tenant that banked its weight for the current stop
+        #: (reset whenever the rotation moves on).  A name, not a flag:
+        #: a tenant joining ``_order`` can shift which tenant the
+        #: cursor points at without the rotation moving.
+        self._banked: Optional[str] = None
         self._stop = threading.Event()
         self._serial = 0
         self._runners = [
@@ -361,19 +363,19 @@ class JobQueue:
             if not queue:
                 self._deficits[tenant] = 0.0
                 self._cursor += 1
-                self._banked = False
+                self._banked = None
                 continue
-            if not self._banked:
+            if self._banked != tenant:
                 self._deficits[tenant] = (
                     self._deficits.get(tenant, 0.0) + self._weight(tenant)
                 )
-                self._banked = True
+                self._banked = tenant
             if self._deficits[tenant] >= 1.0:
                 self._deficits[tenant] -= 1.0
                 self.metrics.count("serve.sched.dispatch")
                 return queue.popleft()
             self._cursor += 1
-            self._banked = False
+            self._banked = None
 
     # -- runners -------------------------------------------------------
 

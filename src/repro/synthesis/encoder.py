@@ -139,7 +139,6 @@ class Encoder:
         governor: Optional[Governor] = None,
         obs: Optional[Instrumentation] = None,
         recorder=None,
-        transfer_cache=None,
     ) -> None:
         self.config = config
         self.specification = specification
@@ -152,12 +151,6 @@ class Encoder:
         #: attributes along candidate paths, so callers can capture the
         #: exact rest-of-network slice an encoding reads.
         self.recorder = recorder
-        #: Optional :class:`~repro.explain.family.TransferCache`: a
-        #: cross-encoder memo of hole-free hops.  Hash-consed terms make
-        #: cached and freshly computed hops the same objects, and
-        #: recorder events fire on hits too, so attaching a cache never
-        #: changes an encoding or a read-set.
-        self.transfer_cache = transfer_cache
         self.space = CandidateSpace.of(config.topology, max_path_length, ibgp=ibgp)
         router_configs = [
             config.router_config(name) for name in config.topology.router_names
@@ -211,31 +204,16 @@ class Encoder:
                 self.config.topology.router(speaker).asn
                 == self.config.topology.router(receiver).asn
             )
-            hop = None
-            if self.transfer_cache is not None:
-                hop = self.transfer_cache.lookup(
-                    export_map, import_map, session_is_ibgp, crossing,
-                    self.universe, obs=self.obs,
-                )
-            if hop is None:
-                export_permit, after_export = apply_routemap_symbolic(
-                    export_map, crossing, self.universe, self.holes
-                )
-                after_hop = (
-                    after_export if session_is_ibgp
-                    else after_export.reset_local_pref()
-                )
-                import_permit, state = apply_routemap_symbolic(
-                    import_map, after_hop, self.universe, self.holes
-                )
-                if self.transfer_cache is not None:
-                    self.transfer_cache.store(
-                        export_map, import_map, session_is_ibgp, crossing,
-                        self.universe,
-                        (export_permit, after_export, after_hop, import_permit, state),
-                    )
-            else:
-                export_permit, after_export, after_hop, import_permit, state = hop
+            export_permit, after_export = apply_routemap_symbolic(
+                export_map, crossing, self.universe, self.holes
+            )
+            after_hop = (
+                after_export if session_is_ibgp
+                else after_export.reset_local_pref()
+            )
+            import_permit, state = apply_routemap_symbolic(
+                import_map, after_hop, self.universe, self.holes
+            )
             if self.recorder is not None:
                 self.recorder.symbolic(
                     speaker, Direction.OUT, receiver, crossing,

@@ -5,7 +5,8 @@ import json
 from repro.api import ExplainRequest
 from repro.farm import enumerate_jobs
 from repro.farm.keys import FarmOptions
-from repro.farm.pool import BatchReport, run_batch
+from repro.farm.pool import BatchReport
+from repro.farm.supervise import run_supervised
 from repro.farm.report import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -19,7 +20,7 @@ from repro.farm.report import (
 def _audited_batch(s1, cache_dir, seed=0):
     jobs = enumerate_jobs(s1.paper_config, s1.specification)
     options = FarmOptions(audit=True, audit_seed=seed)
-    return run_batch(
+    return run_supervised(
         s1.paper_config, s1.specification, jobs,
         options=options, cache_dir=cache_dir,
     )
@@ -64,7 +65,7 @@ class TestObservational:
 
         jobs = enumerate_jobs(s1.paper_config, s1.specification)
         reset_shared_slot()
-        plain = run_batch(
+        plain = run_supervised(
             s1.paper_config, s1.specification, jobs,
             cache_dir=str(tmp_path / "plain"),
         )
@@ -97,7 +98,7 @@ class TestObservational:
 
     def test_audit_reuses_the_plain_explanation_cache(self, s1, tmp_path):
         jobs = enumerate_jobs(s1.paper_config, s1.specification)
-        run_batch(
+        run_supervised(
             s1.paper_config, s1.specification, jobs,
             cache_dir=str(tmp_path),
         )

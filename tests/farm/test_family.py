@@ -1,8 +1,8 @@
 """Family dispatch: shared caches and byte-identity.
 
 The tentpole invariant of family dispatch is *byte-identity*: grouping
-sibling jobs onto one worker's shared caches (seed encodes, transfer
-and simulation caches, statement terms) must never change a single
+sibling jobs onto one worker's shared caches (seed encodes,
+simulations, statement terms) must never change a single
 byte of any answer payload or cache key.  These tests compare shared
 runs against solo runs across scenarios and dispatch modes.  The SAT
 encoding's agreement with projection is checked per job in
@@ -19,7 +19,6 @@ from repro.farm import (
     group_families,
     job_key,
 )
-from repro.farm.pool import run_batch
 from repro.farm.supervise import run_supervised
 from repro.farm.keys import canonical_json
 from repro.farm.worker import _answer_payload, run_family, shared_batch_key
@@ -127,11 +126,11 @@ def test_shared_engine_rejects_governor(s1):
 
 def test_family_batch_matches_per_job_batch(s1, tmp_path):
     jobs = enumerate_jobs(s1.paper_config, s1.specification, per_line=True)
-    solo = run_batch(
+    solo = run_supervised(
         s1.paper_config, s1.specification, jobs,
         cache_dir=str(tmp_path / "solo"), share=False,
     )
-    family = run_batch(
+    family = run_supervised(
         s1.paper_config, s1.specification, jobs,
         cache_dir=str(tmp_path / "family"), share=True,
     )
@@ -142,11 +141,11 @@ def test_family_batch_matches_per_job_batch(s1, tmp_path):
 
 def test_family_batch_parallel_matches_serial(s1, tmp_path):
     jobs = enumerate_jobs(s1.paper_config, s1.specification, per_line=True)
-    serial = run_batch(
+    serial = run_supervised(
         s1.paper_config, s1.specification, jobs,
         cache_dir=str(tmp_path / "serial"),
     )
-    parallel = run_batch(
+    parallel = run_supervised(
         s1.paper_config, s1.specification, jobs,
         cache_dir=str(tmp_path / "parallel"), workers=2,
     )
@@ -155,8 +154,8 @@ def test_family_batch_parallel_matches_serial(s1, tmp_path):
 
 def test_warm_family_run_is_all_cache_hits(s1, tmp_path):
     jobs = enumerate_jobs(s1.paper_config, s1.specification, per_line=True)
-    run_batch(s1.paper_config, s1.specification, jobs, cache_dir=str(tmp_path))
-    warm = run_batch(
+    run_supervised(s1.paper_config, s1.specification, jobs, cache_dir=str(tmp_path))
+    warm = run_supervised(
         s1.paper_config, s1.specification, jobs, cache_dir=str(tmp_path)
     )
     assert all(r.cached for r in warm.results)
@@ -170,7 +169,7 @@ def test_warm_family_run_is_all_cache_hits(s1, tmp_path):
 def test_ungoverned_batch_shares_caches_and_opens_no_sat_session(s1, tmp_path):
     jobs = enumerate_jobs(s1.paper_config, s1.specification, per_line=True)
     families = group_families(jobs)
-    report = run_batch(
+    report = run_supervised(
         s1.paper_config, s1.specification, jobs, cache_dir=str(tmp_path)
     )
     assert report.to_dict()["counters"]["farm.families"] == len(families)
@@ -182,7 +181,7 @@ def test_ungoverned_batch_shares_caches_and_opens_no_sat_session(s1, tmp_path):
 
 def test_governed_batch_disables_sharing(s1, tmp_path):
     jobs = enumerate_jobs(s1.paper_config, s1.specification, per_line=True)
-    report = run_batch(
+    report = run_supervised(
         s1.paper_config, s1.specification, jobs,
         cache_dir=str(tmp_path), budget=10_000_000,
     )
@@ -254,7 +253,7 @@ def test_supervised_family_retry_after_flaky_member(s1, tmp_path):
     assert report.completed == len(jobs)
     by_id = {r.job.job_id: r for r in report.results}
     assert by_id[flaky_id].attempts == 2
-    reference = run_batch(
+    reference = run_supervised(
         s1.paper_config, s1.specification, jobs,
         cache_dir=str(tmp_path / "ref"), share=False,
     )

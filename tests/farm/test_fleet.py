@@ -185,6 +185,12 @@ def _served_text(report):
 
 class TestSupervisedOnFleet:
     def test_batch_documents_match_the_pool_path(self, tmp_path):
+        from repro.farm.worker import reset_shared_slot
+
+        # Forked pool children inherit this process's shared caches;
+        # a batch an earlier test ran in-process would warm them and
+        # change the pool path's counters, never the fleet's.
+        reset_shared_slot()
         pool_dir = tmp_path / "pool"
         fleet_dir = tmp_path / "fleet"
         pool_cold = api.explain_batch(_request("scenario1", str(pool_dir)))

@@ -1,4 +1,5 @@
-"""Batch runs: serial, parallel, warm cache and incremental mode."""
+"""Batch runs through the supervisor: serial, parallel, warm cache and
+incremental (``since``) mode."""
 
 import os
 
@@ -7,7 +8,7 @@ import pytest
 from repro.bgp.routemap import RouteMap, RouteMapLine
 from repro.farm import enumerate_jobs
 from repro.farm.keys import canonical_json
-from repro.farm.pool import run_batch, run_incremental
+from repro.farm.supervise import Supervisor, run_supervised
 from repro.runtime import split_budget
 
 
@@ -38,7 +39,7 @@ def _renumber_r2(config):
 
 def test_serial_batch_all_exact(s1, tmp_path):
     jobs = enumerate_jobs(s1.paper_config, s1.specification)
-    report = run_batch(
+    report = run_supervised(
         s1.paper_config, s1.specification, jobs,
         cache_dir=str(tmp_path), scenario="scenario1",
     )
@@ -51,10 +52,10 @@ def test_serial_batch_all_exact(s1, tmp_path):
 
 def test_warm_run_is_all_cache_hits(s1, tmp_path):
     jobs = enumerate_jobs(s1.paper_config, s1.specification)
-    cold = run_batch(
+    cold = run_supervised(
         s1.paper_config, s1.specification, jobs, cache_dir=str(tmp_path)
     )
-    warm = run_batch(
+    warm = run_supervised(
         s1.paper_config, s1.specification, jobs, cache_dir=str(tmp_path)
     )
     assert all(r.cached for r in warm.results)
@@ -64,18 +65,18 @@ def test_warm_run_is_all_cache_hits(s1, tmp_path):
 
 def test_no_cache_runs_cold_every_time(s1):
     jobs = enumerate_jobs(s1.paper_config, s1.specification)
-    report = run_batch(s1.paper_config, s1.specification, jobs, cache_dir=None)
+    report = run_supervised(s1.paper_config, s1.specification, jobs, cache_dir=None)
     assert not any(r.cached for r in report.results)
     assert report.stage_cache_rate() is None
 
 
 def test_parallel_matches_serial(s1, tmp_path):
     jobs = enumerate_jobs(s1.paper_config, s1.specification)
-    serial = run_batch(
+    serial = run_supervised(
         s1.paper_config, s1.specification, jobs,
         cache_dir=str(tmp_path / "serial"), workers=1,
     )
-    parallel = run_batch(
+    parallel = run_supervised(
         s1.paper_config, s1.specification, jobs,
         cache_dir=str(tmp_path / "parallel"), workers=2,
     )
@@ -87,7 +88,7 @@ def test_parallel_matches_serial(s1, tmp_path):
 
 def test_bench_compatible_stage_records(s1, tmp_path):
     jobs = enumerate_jobs(s1.paper_config, s1.specification)
-    report = run_batch(
+    report = run_supervised(
         s1.paper_config, s1.specification, jobs,
         cache_dir=str(tmp_path), scenario="scenario1",
     )
@@ -106,7 +107,7 @@ def test_budget_split_degrades_jobs_individually(s1):
     jobs = enumerate_jobs(s1.paper_config, s1.specification)
     shares = split_budget(100, len(jobs))
     assert sum(shares) == 100 and max(shares) - min(shares) <= 1
-    report = run_batch(
+    report = run_supervised(
         s1.paper_config, s1.specification, jobs, cache_dir=None, budget=40
     )
     # A tiny per-job budget degrades (or fails) jobs, but the batch
@@ -121,18 +122,22 @@ def test_incremental_rerun_is_minimal_and_identical(s1, tmp_path):
     re-run, and every result is byte-identical to a cold full run."""
     jobs = enumerate_jobs(s1.paper_config, s1.specification)
     cache = str(tmp_path / "cache")
-    run_batch(s1.paper_config, s1.specification, jobs, cache_dir=cache)
+    run_supervised(s1.paper_config, s1.specification, jobs, cache_dir=cache)
 
     edited = _renumber_r2(s1.paper_config)
-    incremental = run_incremental(
-        s1.paper_config, edited, s1.specification, jobs, cache_dir=cache
+    incremental = run_supervised(
+        edited, s1.specification, jobs, cache_dir=cache,
+        since=s1.paper_config,
     )
     reran = {r.job.device for r in incremental.results if not r.cached}
     served = {r.job.device for r in incremental.results if r.cached}
     assert reran == {"R2"}
     assert served == {"R1"}
+    counters = incremental.metrics.counters
+    assert counters["farm.incremental.dirty"] == len(reran)
+    assert counters["farm.incremental.clean"] == len(served)
 
-    cold = run_batch(
+    cold = run_supervised(
         edited, s1.specification, jobs, cache_dir=str(tmp_path / "cold")
     )
     assert _answers(incremental) == _answers(cold)
@@ -141,7 +146,7 @@ def test_incremental_rerun_is_minimal_and_identical(s1, tmp_path):
 def test_incremental_behavior_change_dirties_dependents(s1, tmp_path):
     jobs = enumerate_jobs(s1.paper_config, s1.specification)
     cache = str(tmp_path)
-    run_batch(s1.paper_config, s1.specification, jobs, cache_dir=cache)
+    run_supervised(s1.paper_config, s1.specification, jobs, cache_dir=cache)
 
     edited = s1.paper_config.copy()
     routemap = edited.get_map("R2", "out", "P2")
@@ -156,8 +161,9 @@ def test_incremental_behavior_change_dirties_dependents(s1, tmp_path):
         for line in routemap.lines
     )
     edited.set_map("R2", "out", "P2", RouteMap(routemap.name, flipped))
-    incremental = run_incremental(
-        s1.paper_config, edited, s1.specification, jobs, cache_dir=cache
+    incremental = run_supervised(
+        edited, s1.specification, jobs, cache_dir=cache,
+        since=s1.paper_config,
     )
     assert not any(r.cached for r in incremental.results)
 
@@ -165,59 +171,18 @@ def test_incremental_behavior_change_dirties_dependents(s1, tmp_path):
 def test_incremental_requires_cache(s1):
     jobs = enumerate_jobs(s1.paper_config, s1.specification)
     with pytest.raises(ValueError):
-        run_incremental(
-            s1.paper_config, s1.paper_config, s1.specification, jobs,
-            cache_dir=None,
+        run_supervised(
+            s1.paper_config, s1.specification, jobs, cache_dir=None,
+            since=s1.paper_config,
         )
 
 
-def _run_job_dying_on_r2(config, specification, job, *args, **kwargs):
-    """A stand-in worker entry point whose process dies on R2's job."""
-    if job.device == "R2":
-        os._exit(1)
-    from repro.farm.worker import run_job
-
-    return run_job(config, specification, job, *args, **kwargs)
-
-
-def _run_family_dying_on_r2(config, specification, jobs, *args, **kwargs):
-    """A stand-in family entry point whose process dies on R2's family."""
-    if any(job.device == "R2" for job in jobs):
-        os._exit(1)
-    from repro.farm.worker import run_family
-
-    return run_family(config, specification, jobs, *args, **kwargs)
-
-
-@pytest.mark.parametrize("share", [False, True])
-def test_dead_worker_fails_only_its_own_job(s1, tmp_path, monkeypatch, share):
-    """Satellite regression: a worker killed by the OS mid-batch must
-    surface as failed JobResults for its own unit, never as a lost
-    batch -- under both per-job and family dispatch."""
-    import repro.farm.pool as pool_mod
-
-    monkeypatch.setattr(pool_mod, "run_job", _run_job_dying_on_r2)
-    monkeypatch.setattr(pool_mod, "run_family", _run_family_dying_on_r2)
-    jobs = enumerate_jobs(s1.paper_config, s1.specification)
-    report = run_batch(
-        s1.paper_config, s1.specification, jobs,
-        cache_dir=str(tmp_path), workers=2, share=share,
-    )
-    assert len(report.results) == len(jobs)
-    by_device = {r.job.device: r for r in report.results}
-    assert by_device["R2"].status == "ERROR"
-    assert by_device["R2"].error_kind == "transient"
-    # R1 either finished before the pool broke or was collateral
-    # damage of the shared executor -- but it is always reported.
-    assert by_device["R1"].status in ("EXACT", "ERROR")
-
-
 def test_default_options_are_not_shared(s1):
-    """Satellite regression: run_batch used to take a mutable
+    """Regression: a batch entry point used to take a mutable
     FarmOptions() default evaluated once at import time."""
     import inspect
 
-    for function in (run_batch, run_incremental):
+    for function in (run_supervised, Supervisor):
         parameter = inspect.signature(function).parameters["options"]
         assert parameter.default is None
 
@@ -230,11 +195,11 @@ def test_parallel_beats_serial_cold(tmp_path):
 
     s3 = scenario3()
     jobs = enumerate_jobs(s3.paper_config, s3.specification)
-    serial = run_batch(
+    serial = run_supervised(
         s3.paper_config, s3.specification, jobs,
         cache_dir=str(tmp_path / "a"), workers=1,
     )
-    parallel = run_batch(
+    parallel = run_supervised(
         s3.paper_config, s3.specification, jobs,
         cache_dir=str(tmp_path / "b"), workers=min(4, os.cpu_count() or 1),
     )

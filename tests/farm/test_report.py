@@ -230,25 +230,6 @@ class TestNormalizeDocument:
 
 
 class TestDeprecatedFarmRootImports:
-    @pytest.mark.parametrize(
-        "name", ["run_batch", "run_incremental", "run_supervised"]
-    )
-    def test_warns_but_resolves(self, name):
-        import importlib
-        import warnings
-
-        import repro.farm as farm
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolved = getattr(farm, name)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), f"no DeprecationWarning for {name}"
-        submodule = "supervise" if name == "run_supervised" else "pool"
-        module = importlib.import_module(f"repro.farm.{submodule}")
-        assert resolved is getattr(module, name)
-
     def test_unknown_attribute_still_raises(self):
         import repro.farm as farm
 

@@ -3,7 +3,7 @@
 import pickle
 
 from repro.farm import ExplainJob, FarmOptions, enumerate_jobs, run_job
-from repro.farm.pool import run_batch
+from repro.farm.supervise import run_supervised
 
 
 def test_failing_job_is_contained(s1):
@@ -17,7 +17,7 @@ def test_failing_job_is_contained(s1):
 def test_failing_job_does_not_kill_the_batch(s1):
     jobs = enumerate_jobs(s1.paper_config, s1.specification)
     poisoned = jobs + [ExplainJob("R3")]
-    report = run_batch(s1.paper_config, s1.specification, poisoned)
+    report = run_supervised(s1.paper_config, s1.specification, poisoned)
     assert report.failed == 1
     assert report.completed == len(jobs)
 
@@ -82,3 +82,38 @@ def test_partial_stage_hits_resume_mid_pipeline(s1, tmp_path):
     assert {**first.explanation, "timings": {}} == {
         **second.explanation, "timings": {},
     }
+
+
+def test_invalidated_answer_does_not_resume_stale_stages(s1, tmp_path):
+    """An edit elsewhere in the network leaves R2's key unchanged but
+    invalidates its read-set; the re-run must not resume from the stage
+    artifacts the stale answer was built from."""
+    from repro.bgp.routemap import RouteMap, RouteMapLine
+    from repro.farm.keys import canonical_json
+
+    job = ExplainJob("R2", requirement="Req1")
+    run_job(s1.paper_config, s1.specification, job, FarmOptions(), str(tmp_path))
+    edited = s1.paper_config.copy()
+    routemap = edited.get_map("R1", "out", "P1")
+    first, *rest = routemap.lines
+    flipped = RouteMapLine(
+        seq=first.seq,
+        action="deny" if first.action == "permit" else "permit",
+        match_attr=first.match_attr, match_value=first.match_value,
+        sets=first.sets,
+    )
+    edited.set_map("R1", "out", "P1", RouteMap(routemap.name, (flipped, *rest)))
+    rerun = run_job(edited, s1.specification, job, FarmOptions(), str(tmp_path))
+    cold = run_job(edited, s1.specification, job, FarmOptions())
+    assert rerun.metrics.counters["farm.cache.invalidated"] == 1
+    probe = {"explanation", "readset", "readset-entries"}
+    stage_hits = {
+        name
+        for name in rerun.metrics.counters
+        if name.startswith("farm.store.hit.")
+        and name[len("farm.store.hit."):] not in probe
+    }
+    assert not stage_hits
+    assert canonical_json({**rerun.explanation, "timings": {}}) == canonical_json(
+        {**cold.explanation, "timings": {}}
+    )

@@ -9,7 +9,7 @@ from repro.cli import main
 from repro.explain import ACTION, ExplanationEngine
 from repro.farm import enumerate_jobs, group_families
 from repro.farm.keys import canonical_json
-from repro.farm.pool import run_batch
+from repro.farm.supervise import run_supervised
 from repro.farm.worker import reset_shared_slot
 from repro.obs import BenchReport, Instrumentation, SCHEMA_VERSION, write_report
 from repro.scenarios import scenario1
@@ -83,7 +83,7 @@ def test_perline_family_measures_family_dispatch():
     # cache keys, byte for byte.
     def answers(share):
         reset_shared_slot()
-        batch = run_batch(config, spec, jobs, cache_dir=None, share=share)
+        batch = run_supervised(config, spec, jobs, cache_dir=None, share=share)
         reset_shared_slot()
         return [
             (result.key, canonical_json({**result.explanation, "timings": {}}))

@@ -141,6 +141,27 @@ class TestFairShare:
         counters = queue.metrics.counters
         assert counters["serve.sched.dispatch"] == 12
 
+    def test_new_tenant_after_a_repeat_visit_is_dispatched(self):
+        """Regression: a tenant's second batch leaves the rotation
+        banked past the end of the tenant list; a tenant joining then
+        sits under the cursor and must bank its own weight, not crash
+        the runner thread."""
+        queue = JobQueue(
+            runner=lambda request, progress=None, stop=None: _report(
+                scenario=request.name
+            ),
+            concurrency=1,
+        )
+        for tenant in ("alice", "alice", "bob"):
+            job = queue.submit(
+                api.ExplainRequest(scenario="scenario1", no_cache=True),
+                tenant=tenant,
+            )
+            assert _wait_terminal(queue, job.id, timeout=10.0).state == (
+                api.STATE_DONE
+            )
+        assert queue.drain(timeout=10.0)
+
 
 class TestRetention:
     def _queue(self, retention, clock):

@@ -4,6 +4,8 @@ import threading
 import time
 from types import SimpleNamespace
 
+import pytest
+
 from repro import api
 from repro.serve.queue import JobQueue
 
@@ -196,3 +198,102 @@ class TestDrain:
         assert queue.metrics.counters["farm.families"] == 2
         assert queue.metrics.counters["smt.sat.conflicts"] == 7
         assert queue.metrics.counters["serve.jobs.completed"] == 1
+
+
+class TestSinceRequests:
+    """``since`` requests run under the supervisor like every batch:
+    they stream one ``settled`` event per job, and their status counts
+    equal the job rows."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_shared_slot(self):
+        # The queue runs serial batches in this process: leave no
+        # shared caches behind for later tests.
+        from repro.farm.worker import reset_shared_slot
+
+        reset_shared_slot()
+        yield
+        reset_shared_slot()
+
+    @staticmethod
+    def _warm(cache):
+        api.explain_batch(api.ExplainRequest(scenario="scenario1", cache_dir=cache))
+
+    @staticmethod
+    def _settled_jobs(queue, job_id):
+        return sorted(
+            event["job"]
+            for event in queue.get(job_id).events
+            if event["event"] == "settled"
+        )
+
+    def test_unchanged_config_settles_every_job_from_the_cache(self, tmp_path):
+        from repro.bgp.render import render_network
+        from repro.scenarios import scenario1
+
+        cache = str(tmp_path)
+        self._warm(cache)
+        queue = JobQueue(cache_dir=cache)
+        try:
+            job = queue.submit(
+                api.ExplainRequest(
+                    scenario="scenario1",
+                    since=render_network(scenario1().paper_config),
+                )
+            )
+            status = _wait_terminal(queue, job.id, timeout=120.0)
+            assert status.state == api.STATE_DONE
+            assert status.settled == status.total == status.cached == 2
+            report = queue.get(job.id).report
+            assert self._settled_jobs(queue, job.id) == sorted(
+                result.job_id for result in report.results
+            )
+        finally:
+            queue.drain(timeout=30.0)
+
+    def test_dirty_job_runs_on_the_lent_fleet(self, tmp_path):
+        from repro.bgp.render import render_network
+        from repro.bgp.routemap import RouteMap, RouteMapLine
+        from repro.farm.fleet import WorkerFleet
+        from repro.scenarios import scenario1
+        from repro.spec.printer import format_specification
+        from repro.topology import render_topology
+
+        cache = str(tmp_path)
+        self._warm(cache)
+        # Renumber R2's map: R2's question changes, R1's does not.
+        s1 = scenario1()
+        edited = s1.paper_config.copy()
+        routemap = edited.get_map("R2", "out", "P2")
+        lines = tuple(
+            RouteMapLine(
+                seq=line.seq + 5, action=line.action,
+                match_attr=line.match_attr, match_value=line.match_value,
+                sets=line.sets,
+            )
+            for line in routemap.lines
+        )
+        edited.set_map("R2", "out", "P2", RouteMap(routemap.name, lines))
+        request = api.ExplainRequest(
+            topology=render_topology(s1.topology),
+            spec=format_specification(s1.specification),
+            config=render_network(edited),
+            managed=tuple(sorted(s1.specification.managed)),
+            since=render_network(s1.paper_config),
+            workers=2,
+        )
+        with WorkerFleet(2) as fleet:
+            queue = JobQueue(cache_dir=cache, fleet=fleet)
+            try:
+                job = queue.submit(request)
+                status = _wait_terminal(queue, job.id, timeout=120.0)
+                assert status.state == api.STATE_DONE
+                assert status.settled == status.total == status.ok == 2
+                assert status.cached == 1
+                assert fleet.stats().tasks_done == 1
+                report = queue.get(job.id).report
+                assert self._settled_jobs(queue, job.id) == sorted(
+                    result.job_id for result in report.results
+                )
+            finally:
+                queue.drain(timeout=30.0)

@@ -797,10 +797,10 @@ def _cmd_dossier(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace, out) -> int:
-    scenario = _load_scenario(args.name)
     if args.certificate is not None:
         from .explain import Certificate, FieldRef, audit
 
+        scenario = _load_scenario(args.name)
         with open(args.certificate) as handle:
             certificate = Certificate.from_json(handle.read())
         targets = [
@@ -815,43 +815,25 @@ def _cmd_audit(args: argparse.Namespace, out) -> int:
 
     import json as json_mod
 
-    from .audit import Adjudicator
-    from .farm.job import enumerate_jobs
+    from . import api
+    from .audit import AuditReport
 
-    config = scenario.paper_config
-    specification = scenario.specification
     seed = args.seed if args.seed is not None else 0
-    jobs = enumerate_jobs(config, specification)
-    if not jobs:
+    request = api.ExplainRequest(scenario=args.name, audit=True, audit_seed=seed, no_cache=True)
+    report = api.explain_batch(request)
+    if not report.results:
         print("no explainable jobs in this scenario", file=out)
         return 0
     refuted = 0
     documents = []
-    for job in jobs:
-        sketch, holes = job.symbolize(config)
-        engine = ExplanationEngine(config, specification)
-        explanation = job.run(engine)
-        if explanation.status.degraded:
-            print(f"{job.job_id}: audit skipped ({explanation.status.value})",
-                  file=out)
+    for result in report.results:
+        if result.audit is None:
+            print(f"{result.job_id}: audit skipped ({result.status})", file=out)
             continue
-        adjudicator = Adjudicator(
-            sketch, specification, holes, job.device,
-            requirement=job.requirement, seed=seed,
-        )
-
-        def relift(forced_acceptances, forced_rejections):
-            fresh = ExplanationEngine(config, specification)
-            return fresh.relift(
-                job.device, sketch, holes, job.requirement,
-                forced_acceptances=forced_acceptances,
-                forced_rejections=forced_rejections,
-            ).subspec
-
-        report = adjudicator.adjudicate(explanation.subspec, relift=relift)
-        print(f"{job.job_id}: {report.summary()}", file=out)
-        documents.append({"job": job.job_id, "audit": report.to_dict()})
-        if report.refuted:
+        verdict = AuditReport.from_dict(result.audit)
+        print(f"{result.job_id}: {verdict.summary()}", file=out)
+        documents.append({"job": result.job_id, "audit": dict(result.audit)})
+        if verdict.refuted:
             refuted += 1
     if args.json:
         with open(args.json, "w") as handle:

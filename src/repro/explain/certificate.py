@@ -3,15 +3,15 @@
 The paper's goal is *trust*: an operator should not have to believe
 the explanation engine any more than the synthesizer.  A certificate
 makes that concrete -- it packages an explanation's claims as plain
-data (JSON-serializable), and :func:`audit` re-checks every claim from
-scratch using only the concrete simulator and verifier:
+data (JSON-serializable), and :func:`audit` hands them to the one
+independent explanation checker, :class:`repro.audit.Oracle`, which
+never consults the engine's seed, projection or lifting stages:
 
 1. every assignment the certificate accepts keeps the requirement
-   verifiable (at the certificate's stated semantics level);
-2. every assignment it rejects violates the filter-level requirement
-   (re-derived independently);
+   satisfied in the concrete simulation of the filled network;
+2. every assignment it rejects violates the requirement there;
 3. the claimed subspecification statements hold on every accepted
-   assignment.
+   assignment (each re-encoded by the oracle).
 
 A certificate that passes the audit can be archived with the change
 ticket; re-auditing later detects drift between the explanation and
@@ -25,10 +25,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..bgp.config import NetworkConfig
-from ..spec.ast import RequirementBlock, Specification
+from ..smt import TRUE
+from ..spec.ast import Specification
 from ..spec.parser import parse_statement
 from ..spec.printer import format_statement
 from .engine import Explanation
+from .subspec import Subspecification
 from .symbolize import FieldRef, symbolize
 
 __all__ = ["Certificate", "AuditResult", "make_certificate", "audit"]
@@ -130,24 +132,25 @@ def audit(
     seed: Optional[int] = None,
     sample: int = 16,
 ) -> AuditResult:
-    """Re-check every claim of ``certificate`` from scratch.
+    """Re-check every claim of ``certificate`` with the audit oracle.
 
     ``targets`` must re-identify the symbolized fields (their hole
-    names must match the certificate's variables).  The audit rebuilds
-    the acceptable region with a fresh encoder + simulator run and
-    compares; if the certificate carries lifted statements, it also
-    re-evaluates their filter-level encodings on every accepted
-    assignment.
+    names must match the certificate's variables).  ``Oracle.truth``
+    over the whole hole space decides the acceptable region, which is
+    compared with the claimed one; lifted statements are checked with
+    ``Oracle.claim`` on the truth-accepted assignments.
 
     With an explicit ``seed``, the statement re-check runs over a
-    deterministic sample of at most ``sample`` evaluation environments
-    (drawn by ``random.Random(seed)`` over the sorted assignment keys,
-    so the same seed always checks the same assignments); without one
-    it stays exhaustive, byte-identical to the legacy behaviour.
+    deterministic sample of at most ``sample`` converged assignments
+    (drawn by ``random.Random(seed)`` over their sorted keys, so the
+    same seed always checks the same assignments); without one it
+    stays exhaustive.
     """
-    from .lift import _statement_term
-    from .project import project
-    from .seed import extract_seed
+    import math
+    import random
+
+    from ..audit.oracle import Oracle
+    from ..audit.suite import generate_suite
 
     result = AuditResult(valid=True, seed=seed)
 
@@ -160,17 +163,21 @@ def audit(
         )
         return result
 
-    spec = (
-        specification.restricted_to(certificate.requirement)
-        if certificate.requirement != "<all>"
-        else specification
+    requirement = certificate.requirement
+    oracle = Oracle(
+        sketch, specification, holes,
+        requirement=None if requirement == "<all>" else requirement,
+        max_path_length=max_path_length,
     )
-    seed_spec = extract_seed(sketch, spec, holes, max_path_length)
-    projected = project(seed_spec, sketch)
-    recomputed = {
-        tuple(sorted((name, str(value)) for name, value in assignment.items()))
-        for assignment in projected.acceptable
-    }
+    space = math.prod(len(hole.domain) for hole in holes.values())
+    recomputed = set()
+    converged = []
+    for case in generate_suite(holes, max_exhaustive=space).cases:
+        accepted, env = oracle.truth(case)
+        if accepted:
+            recomputed.add(case.key)
+        if env is not None:
+            converged.append((case.key, case, env))
     claimed = set(certificate.acceptable)
     if recomputed != claimed:
         result.valid = False
@@ -188,29 +195,26 @@ def audit(
             )
 
     if certificate.lifted and certificate.statements:
-        envs = sorted(projected.envs.items())
-        if seed is not None and len(envs) > sample:
-            import random
-
-            envs = [
-                envs[index]
-                for index in sorted(
-                    random.Random(seed).sample(range(len(envs)), sample)
-                )
-            ]
-        statements = [parse_statement(text) for text in certificate.statements]
-        for statement in statements:
-            term = _statement_term(statement, sketch, spec, seed_spec)
-            if term is None:
-                result.valid = False
-                result.problems.append(f"statement {statement} cannot be re-encoded")
-                continue
-            for key, env in envs:
-                accepted = key in recomputed
-                if accepted and not bool(term.evaluate(env)):
+        converged.sort(key=lambda entry: entry[0])
+        if seed is not None and len(converged) > sample:
+            picks = random.Random(seed).sample(range(len(converged)), sample)
+            converged = [converged[index] for index in sorted(picks)]
+        for text in certificate.statements:
+            statement = parse_statement(text)
+            claim = Subspecification(
+                certificate.device, requirement, (statement,), lifted=True, low_level=TRUE
+            )
+            for key, case, env in converged:
+                if key not in recomputed:
+                    continue
+                verdict = oracle.claim(claim, case, env)
+                if not verdict:
                     result.valid = False
                     result.problems.append(
-                        f"statement {statement} fails on accepted assignment {key}"
+                        f"statement {statement} cannot be re-encoded"
+                        if verdict is None
+                        else f"statement {statement} fails on accepted "
+                        f"assignment {key}"
                     )
                     break
     return result

@@ -19,8 +19,9 @@ artifact store treat them as plain cache misses.
 
 Terms are encoded with :mod:`repro.smt.serialize` (shared-structure
 DAG tables), statements through the specification printer/parser pair
-(the same text round-trip :mod:`repro.explain.certificate` relies on),
-and domain values (prefixes, communities) as tagged scalars.
+(:mod:`repro.explain.certificate` stores statements the same way, as
+printed text the audit oracle re-parses and re-encodes), and domain
+values (prefixes, communities) as tagged scalars.
 """
 
 from __future__ import annotations

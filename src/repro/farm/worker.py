@@ -204,12 +204,13 @@ def _apply_corrupt_chaos(
             pass
 
 
-def audit_artifact_key(key: str, subspec_payload: dict, seed: int) -> str:
+def audit_artifact_key(key: str, subspec_payload: dict, seed: int, config: NetworkConfig) -> str:
     """The content address of one audit verdict.
 
-    Covers the job key, the *subspecification under audit* and the
-    suite seed -- so a tampered or re-lifted subspec can never be
-    served a stale verdict, and changing the seed re-audits.
+    Covers the job key, the *subspecification under audit*, the suite
+    seed and the whole rendered network (the oracle simulates all of
+    it; the job key covers only the job's own inputs) -- so a tampered
+    or re-lifted subspec, a new seed or any network edit re-audits.
     """
     from ..audit import AUDIT_SCHEMA
 
@@ -219,6 +220,7 @@ def audit_artifact_key(key: str, subspec_payload: dict, seed: int) -> str:
             "job": key,
             "subspec": subspec_payload,
             "seed": seed,
+            "network": render_network(config),
         }
     )
 
@@ -238,15 +240,16 @@ def run_audit(
     """Run (or serve from cache) the audit stage for one answered job.
 
     The verdict is content-addressed by (job key, subspec payload,
-    suite seed) under the ``audit`` store stage, so warm batches replay
-    it for free and a changed answer is always re-audited.  Audit
-    failures degrade to an ``unresolved`` verdict carrying the error --
-    the audit stage may refute an answer, never destroy one.
+    suite seed, rendered network) under the ``audit`` store stage, so
+    warm batches replay it for free and a changed answer or network is
+    always re-audited.  Audit failures degrade to an ``unresolved``
+    verdict carrying the error -- the audit stage may refute an
+    answer, never destroy one.
     """
     from ..audit import Adjudicator, AuditReport, VERDICT_UNRESOLVED
 
     subspec_payload = answer["subspec"]
-    audit_key = audit_artifact_key(key, subspec_payload, options.audit_seed)
+    audit_key = audit_artifact_key(key, subspec_payload, options.audit_seed, config)
     if store is not None:
         stored = store.load(audit_key, AUDIT_STAGE)
         if stored is not None:

@@ -1,8 +1,10 @@
 """The audit stage inside the farm: cached, observational, reported."""
 
 import json
+from dataclasses import replace
 
 from repro.api import ExplainRequest
+from repro.bgp import DENY, PERMIT, Direction, RouteMap
 from repro.farm import enumerate_jobs
 from repro.farm.keys import FarmOptions
 from repro.farm.pool import BatchReport
@@ -55,6 +57,37 @@ class TestAuditStage:
         counters = reseeded.metrics.counters
         assert counters["audit.suites"] == len(reseeded.results)
         assert all(r.audit["seed"] == 1 for r in reseeded.results)
+
+
+    def test_an_edit_elsewhere_in_the_network_reaudits(self, s1, tmp_path):
+        # R2's job key does not cover R1's export map, but the oracle
+        # simulates the whole network: after an edit there, R2's
+        # verdict must be recomputed, never served from the store.
+        _audited_batch(s1, str(tmp_path))
+        edited = s1.paper_config.copy()
+        routemap = edited.get_map("R1", "out", "P1")
+        first = routemap.lines[0]
+        flipped = replace(
+            first, action=DENY if first.action == PERMIT else PERMIT
+        )
+        edited.set_map("R1", Direction.OUT, "P1", RouteMap(
+            routemap.name, (flipped,) + tuple(routemap.lines[1:]),
+        ))
+        jobs = enumerate_jobs(edited, s1.specification)
+        options = FarmOptions(audit=True)
+        warm = run_supervised(
+            edited, s1.specification, jobs,
+            options=options, cache_dir=str(tmp_path),
+        )
+        cold = run_supervised(
+            edited, s1.specification, jobs, options=options,
+        )
+        r2 = next(r for r in warm.results if r.job.device == "R2")
+        assert not r2.cached and r2.audit is not None
+        assert warm.metrics.counters.get("audit.cache.hits", 0) == 0
+        assert [r.audit for r in warm.results] == [
+            r.audit for r in cold.results
+        ]
 
 
 class TestObservational:

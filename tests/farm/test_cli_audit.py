@@ -64,3 +64,22 @@ def test_audit_subcommand_json(tmp_path):
     for entry in payload:
         assert entry["audit"]["schema"] == "repro-audit/1"
         assert entry["audit"]["verdict"] == "confirmed"
+
+
+def test_audit_subcommand_matches_the_farm_audit_stage(tmp_path):
+    audit_path = str(tmp_path / "audit.json")
+    report_path = str(tmp_path / "report.json")
+    code, _ = run_cli("audit", "scenario2", "--json", audit_path)
+    assert code == 0
+    code, _ = run_cli(
+        "explain-all", "scenario2", "--audit", "--no-cache",
+        "--json", report_path,
+    )
+    assert code == 0
+    with open(audit_path) as handle:
+        verdicts = json.load(handle)
+    with open(report_path) as handle:
+        rows = json.load(handle)["jobs"]
+    assert verdicts == [
+        {"job": row["job"], "audit": row["audit"]} for row in rows
+    ]

@@ -159,7 +159,9 @@ class ExplanationEngine:
     ... # doctest: +SKIP
 
     ``governor`` bounds every stage of every question this engine
-    answers; all questions share its deadline and budget.
+    answers; all questions share its deadline and budget.  Every
+    question runs all four stages, so a governed answer spends its
+    budget on the whole pipeline and depends on nothing stored.
 
     ``obs`` attaches an :class:`~repro.obs.Instrumentation` bundle: each
     pipeline stage runs inside a span (``seed``, ``simplify``,
@@ -168,17 +170,6 @@ class ExplanationEngine:
     view derived from those spans, so its keys are unchanged.  When
     both ``obs`` and ``governor`` are given, the instrumentation also
     subscribes to the governor's checkpoint stream.
-
-    ``stage_store`` plugs in a per-question artifact store (duck-typed:
-    ``load(stage) -> Optional[dict]`` and ``save(stage, payload)``).
-    Completed stage artifacts (``seed``, ``simplify``, ``projected``,
-    ``lift``) are saved through it and later runs resume mid-pipeline
-    from whatever loads -- the persistence behind
-    :mod:`repro.farm.store`.  The store must be scoped to a single
-    question (the farm keys it by job); degraded stage outputs are
-    never saved.  :meth:`take_saved_stages` hands the payloads saved
-    for the latest answer on, so encoding that answer does not encode
-    them again.
 
     ``recorder`` observes every route-map transfer the pipeline applies
     (duck-typed: ``symbolic(...)`` / ``concrete(...)``; see
@@ -198,7 +189,6 @@ class ExplanationEngine:
         ibgp: bool = False,
         governor: Optional[Governor] = None,
         obs: Optional[Instrumentation] = None,
-        stage_store=None,
         recorder=None,
         shared=None,
     ) -> None:
@@ -218,7 +208,6 @@ class ExplanationEngine:
         self.ibgp = ibgp
         self.governor = governor
         self.obs = obs
-        self.stage_store = stage_store
         self.recorder = recorder
         #: Optional :class:`~repro.explain.family.SharedCaches`: the
         #: cross-question cache layer the farm threads through sibling
@@ -234,10 +223,6 @@ class ExplanationEngine:
         # EXACT answers are cached: a degraded answer reflects the
         # budget state at the time it was cut short, not the question.
         self._cache: Dict[tuple, Explanation] = {}
-        # The stage payloads saved while answering ``_saved_for``; only
-        # the latest fresh answer's are kept, and taking them drops them.
-        self._saved: Dict[str, dict] = {}
-        self._saved_for: Optional[Explanation] = None
 
     # ------------------------------------------------------------------
 
@@ -297,9 +282,9 @@ class ExplanationEngine:
         search re-runs against the corrected region.
 
         The run is deliberately isolated from the normal pipeline's
-        memoization: it never reads or writes the stage store and never
-        lands in the engine's answer cache, so corrected artifacts can
-        never shadow (or be shadowed by) the canonical ones.
+        memoization: it never lands in the engine's answer cache, so
+        corrected artifacts can never shadow (or be shadowed by) the
+        canonical ones.
         """
         from .project import reclassify
 
@@ -403,37 +388,6 @@ class ExplanationEngine:
         )
         return (domains, requirement_name, options)
 
-    def _load_stage(self, stage: str) -> Optional[dict]:
-        """A stored artifact payload for ``stage``, or ``None``."""
-        if self.stage_store is None:
-            return None
-        payload = self.stage_store.load(stage)
-        if payload is not None and self.obs is not None:
-            self.obs.count(f"engine.stage_hits.{stage}")
-        return payload
-
-    def _save_stage(self, stage: str, payload: dict) -> None:
-        if self.stage_store is not None:
-            self.stage_store.save(stage, payload)
-            self._saved[stage] = payload
-
-    def take_saved_stages(self, explanation: Explanation) -> Dict[str, dict]:
-        """The stage payloads saved while producing ``explanation``.
-
-        Keyed by stage (``seed``, ``simplify``, ``projected``,
-        ``lift``); each is exactly what the serializer would encode for
-        that part of the answer.  Empty unless ``explanation`` is this
-        engine's latest freshly computed answer.  The engine forgets
-        the payloads once taken, so they live no longer than the caller
-        keeps them.
-        """
-        if explanation is not self._saved_for:
-            return {}
-        saved = self._saved
-        self._saved = {}
-        self._saved_for = None
-        return saved
-
     def _run(
         self,
         device: str,
@@ -447,8 +401,6 @@ class ExplanationEngine:
             else self.specification
         )
         requirement_name = requirement if requirement is not None else "<all>"
-        self._saved = {}
-        self._saved_for = None
         cache_key = self._cache_key(holes, requirement_name)
         cached = self._cache.get(cache_key)
         if cached is not None:
@@ -482,10 +434,6 @@ class ExplanationEngine:
             except GOVERNED_ERRORS as exc:
                 seed_error = exc
         timings["seed"] = span.duration
-        if seed is not None and self.stage_store is not None:
-            from .serialize import seed_to_dict
-
-            self._save_stage("seed", seed_to_dict(seed))
         if seed is None:
             return self._finish(
                 Explanation(
@@ -511,82 +459,54 @@ class ExplanationEngine:
             )
 
         with obs.span("simplify") as span:
-            stored = self._load_stage("simplify")
-            if stored is not None:
-                from .serialize import simplified_from_dict
-
-                simplified = simplified_from_dict(stored)
-            else:
-                try:
-                    simplified = simplify_seed(
-                        seed, rules=self.rules, governor=governor, obs=self.obs
-                    )
-                    from .serialize import simplified_to_dict
-
-                    self._save_stage("simplify", simplified_to_dict(simplified))
-                except GOVERNED_ERRORS as exc:
-                    # Fall back to the unsimplified seed constraint; later
-                    # stages do not depend on the simplified term.
-                    simplified = SimplifiedSeed(
-                        term=seed.constraint,
-                        stats=RewriteStats(
-                            input_size=seed.size, output_size=seed.size
-                        ),
-                        input_constraints=seed.num_constraints,
-                        output_constraints=seed.num_constraints,
-                    )
-                    degradations.append(f"simplification interrupted: {exc}")
+            try:
+                simplified = simplify_seed(
+                    seed, rules=self.rules, governor=governor, obs=self.obs
+                )
+            except GOVERNED_ERRORS as exc:
+                # Fall back to the unsimplified seed constraint; later
+                # stages do not depend on the simplified term.
+                simplified = SimplifiedSeed(
+                    term=seed.constraint,
+                    stats=RewriteStats(
+                        input_size=seed.size, output_size=seed.size
+                    ),
+                    input_constraints=seed.num_constraints,
+                    output_constraints=seed.num_constraints,
+                )
+                degradations.append(f"simplification interrupted: {exc}")
         timings["simplify"] = span.duration
 
         projected: Optional[ProjectedSpec] = None
         lift_result: Optional[LiftResult] = None
         with obs.span("project") as span:
-            stored = self._load_stage("projected")
-            if stored is not None:
-                from .serialize import projected_from_dict
-
-                projected = projected_from_dict(stored)
-            else:
-                try:
-                    projected = project(
-                        seed, sketch, limit=self.projection_limit, governor=governor,
-                        obs=self.obs, recorder=self.recorder,
-                        sim_cache=(
-                            self.shared.simulations
-                            if self.shared is not None
-                            else None
-                        ),
-                    )
-                    from .serialize import projected_to_dict
-
-                    self._save_stage("projected", projected_to_dict(projected))
-                except GOVERNED_ERRORS as exc:
-                    degradations.append(f"projection interrupted: {exc}")
+            try:
+                projected = project(
+                    seed, sketch, limit=self.projection_limit, governor=governor,
+                    obs=self.obs, recorder=self.recorder,
+                    sim_cache=(
+                        self.shared.simulations
+                        if self.shared is not None
+                        else None
+                    ),
+                )
+            except GOVERNED_ERRORS as exc:
+                degradations.append(f"projection interrupted: {exc}")
         timings["project"] = span.duration
 
         with obs.span("lift") as span:
             if projected is not None:
-                stored = self._load_stage("lift")
-                if stored is not None:
-                    from .serialize import lift_result_from_dict
-
-                    lift_result = lift_result_from_dict(stored)
-                else:
-                    lift_result = lift(
-                        device, sketch, spec, seed, projected, projected.envs,
-                        governor=governor, obs=self.obs, recorder=self.recorder,
-                        term_cache=(
-                            self.shared.term_cache_for(holes)
-                            if self.shared is not None
-                            else None
-                        ),
-                    )
-                    if lift_result.exhausted:
-                        degradations.append("lift search interrupted")
-                    else:
-                        from .serialize import lift_result_to_dict
-
-                        self._save_stage("lift", lift_result_to_dict(lift_result))
+                lift_result = lift(
+                    device, sketch, spec, seed, projected, projected.envs,
+                    governor=governor, obs=self.obs, recorder=self.recorder,
+                    term_cache=(
+                        self.shared.term_cache_for(holes)
+                        if self.shared is not None
+                        else None
+                    ),
+                )
+                if lift_result.exhausted:
+                    degradations.append("lift search interrupted")
         timings["lift"] = span.duration
 
         if lift_result is not None and (lift_result.lifted or not degradations):
@@ -630,7 +550,6 @@ class ExplanationEngine:
 
     def _finish(self, explanation: Explanation, cache_key: tuple) -> Explanation:
         """Stamp budget accounting and cache exact answers."""
-        self._saved_for = explanation
         if self.governor is not None:
             for name, value in self.governor.accounting().items():
                 explanation.timings[name] = value

@@ -252,24 +252,15 @@ def subspec_from_dict(payload: dict) -> Subspecification:
 # The whole explanation
 # ----------------------------------------------------------------------
 
-def explanation_to_dict(
-    explanation: Explanation, saved: Optional[Dict[str, dict]] = None
-) -> dict:
+def explanation_to_dict(explanation: Explanation) -> dict:
     """Encode an explanation as a JSON-safe dict (schema-stamped).
 
-    ``saved`` maps engine stage names (``seed``, ``simplify``,
-    ``projected``, ``lift``) to payloads already encoded from this
-    explanation's artifacts (see
-    :meth:`~repro.explain.engine.ExplanationEngine.take_saved_stages`);
-    they are embedded as they are instead of being encoded again.
+    Each stage artifact is encoded here and only here: the farm stores
+    this dict as the one copy of an answer.
     """
-    encoded: Dict[str, dict] = saved or {}
 
-    def stage(name: str, artifact, encode) -> Optional[dict]:
-        if artifact is None:
-            return None
-        payload = encoded.get(name)
-        return payload if payload is not None else encode(artifact)
+    def stage(artifact, encode) -> Optional[dict]:
+        return encode(artifact) if artifact is not None else None
 
     return {
         "schema": SCHEMA,
@@ -278,10 +269,10 @@ def explanation_to_dict(
         "status": explanation.status.value,
         "degradation": explanation.degradation,
         "timings": dict(explanation.timings),
-        "seed": stage("seed", explanation.seed, seed_to_dict),
-        "simplified": stage("simplify", explanation.simplified, simplified_to_dict),
-        "projected": stage("projected", explanation.projected, projected_to_dict),
-        "lift": stage("lift", explanation.lift_result, lift_result_to_dict),
+        "seed": stage(explanation.seed, seed_to_dict),
+        "simplified": stage(explanation.simplified, simplified_to_dict),
+        "projected": stage(explanation.projected, projected_to_dict),
+        "lift": stage(explanation.lift_result, lift_result_to_dict),
         "subspec": subspec_to_dict(explanation.subspec),
     }
 

@@ -15,8 +15,9 @@ build-system shell:
   slice a job actually reads (every route-map transfer at the symbolic
   and concrete seams), stored next to the answer;
 * :mod:`repro.farm.store` -- the persistent on-disk artifact store
-  with schema versions and integrity hashes, memoizing per-stage
-  pipeline artifacts so interrupted runs resume mid-pipeline;
+  with schema versions and integrity hashes, holding each EXACT
+  answer once, beside its read-set (a job that has no valid stored
+  answer re-runs from scratch);
 * :mod:`repro.farm.invalidate` -- incremental invalidation: replaying
   a stored read-set against an edited configuration decides whether a
   cached answer is still exact, so a one-device edit re-runs only that
@@ -62,7 +63,7 @@ from .report import (
     STATUS_QUARANTINED,
     normalize_document,
 )
-from .store import ArtifactStore, JobStore, StoreError, StoredPayload
+from .store import ArtifactStore, StoreError, StoredPayload
 from .supervise import (
     RunJournal,
     SupervisePolicy,
@@ -88,7 +89,6 @@ __all__ = [
     "job_key",
     "TransferRecorder",
     "ArtifactStore",
-    "JobStore",
     "StoreError",
     "StoredPayload",
     "compute_dirty",

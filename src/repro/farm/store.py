@@ -11,10 +11,11 @@ not hash to its recorded integrity value, is treated as a miss (and
 counted), never as an error -- a corrupted cache must degrade to a cold
 run, not break the batch.
 
-Stages are free-form strings; the farm uses ``seed``, ``simplify``,
-``projected`` and ``lift`` (the engine's mid-pipeline artifacts,
-written through the :class:`JobStore` adapter) plus ``explanation`` and
-``readset`` (the full answer and its recorded dependency slice).
+Stages are free-form strings.  Per job the farm stores one copy of the
+answer, ``explanation``, beside its recorded dependency slice
+(``readset`` and ``readset-entries``) and, when audited, its ``audit``
+verdict.  The engine's intermediate stages are never stored: they live
+only inside the answer, so a re-run always starts from scratch.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "STORE_SCHEMA",
     "QUARANTINE_SCHEMA",
     "ArtifactStore",
-    "JobStore",
     "StoreError",
     "StoredPayload",
 ]
@@ -334,27 +334,3 @@ class ArtifactStore:
         if landed:
             self._count("quarantine", "ledger")
 
-
-class JobStore:
-    """Adapter scoping an :class:`ArtifactStore` to one job key.
-
-    This is the object handed to the engine as its ``stage_store``:
-    the engine speaks ``load(stage)`` / ``save(stage, payload)`` with
-    no notion of keys, and the farm guarantees one adapter (and one
-    engine) per job so stage artifacts can never leak across questions.
-    """
-
-    def __init__(self, store: ArtifactStore, key: str, resume: bool = True) -> None:
-        self.store = store
-        self.key = key
-        #: Whether stored stages may be read back.  A job whose stored
-        #: answer failed read-set validation re-runs with ``False``:
-        #: its stages were computed against the same stale rest of the
-        #: network, so they are overwritten, never resumed from.
-        self.resume = resume
-
-    def load(self, stage: str) -> Optional[dict]:
-        return self.store.load(self.key, stage) if self.resume else None
-
-    def save(self, stage: str, payload: dict) -> None:
-        self.store.save(self.key, stage, payload)

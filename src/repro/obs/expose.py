@@ -10,7 +10,7 @@ twice during an idle server returns byte-identical bodies.
 
 Metric names are sanitized to the exposition grammar
 (``[a-zA-Z_:][a-zA-Z0-9_:]*``): the registry's dotted names
-(``farm.store.hit.seed``) become underscored (``farm_store_hit_seed``)
+(``farm.store.hit.readset``) become underscored (``farm_store_hit_readset``)
 with a ``repro_`` prefix to keep the namespace honest.
 """
 

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.farm import ArtifactStore, JobStore, StoreError
+from repro.farm import ArtifactStore, StoreError
 
 KEY = "ab" * 32
 
@@ -149,15 +149,6 @@ def test_corrupt_quarantine_ledger_degrades_to_empty(tmp_path):
     assert [e["job"] for e in store.quarantine_entries()] == ["b"]
 
 
-def test_job_store_scopes_one_key(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    scoped = JobStore(store, KEY)
-    scoped.save("simplify", {"v": 1})
-    assert scoped.load("simplify") == {"v": 1}
-    other = JobStore(store, "cd" * 32)
-    assert other.load("simplify") is None
-
-
 # -- the framed read path ------------------------------------------------
 #
 # Reads check integrity over the payload slice of the canonical
@@ -236,7 +227,7 @@ def test_load_matches_the_legacy_path_on_every_artifact(filled_cache):
 
     artifacts = _artifacts(filled_cache)
     stages = {stage for _, _, stage in artifacts}
-    assert {"seed", "explanation", "readset", "audit"} <= stages
+    assert stages == {"explanation", "readset", "readset-entries", "audit"}
     store = ArtifactStore(filled_cache)
     for path, key, stage in artifacts:
         legacy = _legacy_load(path, key, stage)

@@ -48,20 +48,21 @@ def test_degraded_answers_are_never_cached(s1, tmp_path):
     assert rerun.status == "EXACT" and not rerun.cached
 
 
-def test_partial_stage_hits_resume_mid_pipeline(s1, tmp_path):
-    """Deleting only the final artifacts forces a re-run that resumes
-    from the persisted intermediate stages."""
+def test_deleted_answer_reruns_cold_and_byte_identical(s1, tmp_path):
+    """With its answer deleted, a job re-runs every stage from scratch
+    and stores the same answer bytes; no stage artifact is ever
+    written beside it."""
     import os
 
     from repro.farm import ArtifactStore, job_key
 
     job = ExplainJob("R1", requirement="Req1")
     options = FarmOptions()
-    first = run_job(
-        s1.paper_config, s1.specification, job, options, str(tmp_path)
-    )
+    run_job(s1.paper_config, s1.specification, job, options, str(tmp_path))
     key = job_key(s1.paper_config, s1.specification, job, options)
     store = ArtifactStore(str(tmp_path))
+    with open(store.path_for(key, "explanation"), "rb") as handle:
+        first = handle.read()
     os.unlink(store.path_for(key, "explanation"))
     os.unlink(store.path_for(key, "readset"))
 
@@ -69,19 +70,41 @@ def test_partial_stage_hits_resume_mid_pipeline(s1, tmp_path):
         s1.paper_config, s1.specification, job, options, str(tmp_path)
     )
     assert second.status == "EXACT" and not second.cached
-    hits = {
-        name: value
-        for name, value in second.metrics.counters.items()
-        if name.startswith("farm.store.hit.")
+    with open(store.path_for(key, "explanation"), "rb") as handle:
+        assert handle.read() == first
+    for stage in ("seed", "simplify", "projected", "lift"):
+        assert not os.path.exists(store.path_for(key, stage))
+
+
+def test_governed_answers_do_not_depend_on_cache_state(tmp_path):
+    """A governed job gives the same status and answer on a warm cache
+    as on a fresh one: a degraded run leaves nothing a re-run could
+    resume from, so every run spends its budget on the whole pipeline."""
+    from repro.farm.keys import canonical_json
+    from repro.scenarios import scenario2
+
+    s2 = scenario2()
+    job = ExplainJob("R1", requirement="Req2")
+    runs = [
+        run_job(
+            s2.paper_config, s2.specification, job, FarmOptions(),
+            str(tmp_path / cache), budget=1000,
+        )
+        for cache in ("shared", "shared", "fresh")
+    ]
+    assert len({run.status for run in runs}) == 1
+    answers = {
+        canonical_json({**run.explanation, "timings": {}}) for run in runs
     }
-    assert set(hits) >= {
-        "farm.store.hit.simplify",
-        "farm.store.hit.projected",
-        "farm.store.hit.lift",
-    }
-    assert {**first.explanation, "timings": {}} == {
-        **second.explanation, "timings": {},
-    }
+    assert len(answers) == 1
+    probe = {"explanation", "readset", "readset-entries"}
+    for run in runs:
+        assert not {
+            name
+            for name in run.metrics.counters
+            if name.startswith("farm.store.hit.")
+            and name[len("farm.store.hit."):] not in probe
+        }
 
 
 def test_invalidated_answer_does_not_resume_stale_stages(s1, tmp_path):

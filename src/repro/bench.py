@@ -28,9 +28,9 @@ from .obs import (
     BenchReport,
     Instrumentation,
     MetricsRegistry,
-    SPAN_PREFIX,
     StageRecord,
     percentile,
+    stage_records,
 )
 from .scenarios import Scenario, scenario1, scenario2, scenario3
 from .synthesis import Synthesizer
@@ -559,40 +559,6 @@ def _serve_bench(scenario_name: str, runs: int) -> List[StageRecord]:
     return _serve_records(scenario_name, samples)
 
 
-def _stage_records(scenario_name: str, merged: MetricsRegistry) -> List[StageRecord]:
-    """Per-stage records from the merged per-iteration registries.
-
-    One record per ``span:<stage>`` histogram; its counters are the
-    stage-attributed counters with the ``<stage>:`` prefix stripped,
-    totalled over *all* runs (the pipeline is deterministic, so
-    per-run work is the total divided by ``runs``).
-    """
-    records: List[StageRecord] = []
-    for name in merged.histogram_names:
-        if not name.startswith(SPAN_PREFIX):
-            continue
-        stage = name[len(SPAN_PREFIX):]
-        samples = merged.samples(name)
-        counters = {
-            counter[len(stage) + 1:]: value
-            for counter, value in merged.counters.items()
-            if counter.startswith(stage + ":")
-        }
-        records.append(
-            StageRecord(
-                scenario=scenario_name,
-                stage=stage,
-                runs=len(samples),
-                median_s=percentile(samples, 0.50),
-                p95_s=percentile(samples, 0.95),
-                total_s=sum(samples),
-                counters=counters,
-            )
-        )
-    records.sort(key=lambda record: record.stage)
-    return records
-
-
 def run_bench(
     scenarios: Optional[Sequence[str]] = None,
     repeat: Optional[int] = None,
@@ -628,7 +594,7 @@ def run_bench(
                 obs = Instrumentation()
                 run_scenario_once(scenario, obs)
                 merged.merge(obs.metrics)
-            stages.extend(_stage_records(name, merged))
+            stages.extend(stage_records(name, merged))
         if "perline" in chosen:
             samples = [run_perline_once(scenario) for _ in range(runs)]
             stages.extend(_perline_records(name, samples))

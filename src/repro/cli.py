@@ -876,23 +876,26 @@ def _cmd_analyze(args: argparse.Namespace, out) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_explain_all(args: argparse.Namespace, out) -> int:
+def _cache_dir(args: argparse.Namespace) -> Optional[str]:
+    """The artifact store ``--no-cache``/``--cache-dir`` choose
+    (``~/.cache/repro-farm`` by default; ``None`` without a cache)."""
     import os
-
-    from . import api
-    from .farm.report import dump_document
-    from .runtime import ChaosPlan
 
     if args.no_cache and args.cache_dir is not None:
         raise SystemExit("--no-cache and --cache-dir are mutually exclusive")
     if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir is not None:
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = os.path.join(
-            os.path.expanduser("~"), ".cache", "repro-farm"
-        )
+        return None
+    if args.cache_dir is not None:
+        return args.cache_dir
+    return os.path.join(os.path.expanduser("~"), ".cache", "repro-farm")
+
+
+def _cmd_explain_all(args: argparse.Namespace, out) -> int:
+    from . import api
+    from .farm.report import dump_document
+    from .runtime import ChaosPlan
+
+    cache_dir = _cache_dir(args)
     chaos = None
     if args.chaos is not None:
         try:
@@ -972,8 +975,6 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace, out) -> int:
-    import os
-
     from .serve import (
         RetentionPolicy,
         TenantBook,
@@ -982,16 +983,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         serve_forever,
     )
 
-    if args.no_cache and args.cache_dir is not None:
-        raise SystemExit("--no-cache and --cache-dir are mutually exclusive")
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir is not None:
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = os.path.join(
-            os.path.expanduser("~"), ".cache", "repro-farm"
-        )
+    cache_dir = _cache_dir(args)
     if args.tenant_config is not None:
         try:
             tenants = TenantBook.from_file(args.tenant_config)

@@ -1,14 +1,13 @@
 """The persistent worker fleet: processes that outlive their batches.
 
-:mod:`repro.farm.pool` and the :class:`~repro.farm.supervise.Supervisor`
-historically built a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
-per batch, so every batch paid process spawn *and* started with cold
-in-worker caches (the :class:`~repro.explain.family.SharedCaches` slot
-and the resident :class:`~repro.farm.store.ArtifactStore` handle).  A
-:class:`WorkerFleet` keeps one set of worker processes alive for the
+A :class:`WorkerFleet` keeps one set of worker processes alive for the
 lifetime of the owning process -- the serving layer spins one up at
 boot -- and batches borrow workers from it instead of forking their
-own.
+own, so a batch pays no process spawn and finds warm in-worker state
+(the :class:`~repro.explain.family.SharedCaches` slot and the resident
+:class:`~repro.farm.store.ArtifactStore` handle).  One-off batches
+still use a per-batch pool; :mod:`repro.farm.supervise` says why and
+how the two differ.
 
 Design points:
 

@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..obs import (
-    BenchReport,
-    MetricsRegistry,
-    SPAN_PREFIX,
-    StageRecord,
-    percentile,
-)
+from ..obs import BenchReport, MetricsRegistry, StageRecord, stage_records
 from . import report as report_mod
 from .worker import STATUS_ERROR, JobResult
 
@@ -126,30 +120,7 @@ class BatchReport:
 
     def stage_records(self) -> List[StageRecord]:
         """Per-stage records in the benchmark harness's shape."""
-        records: List[StageRecord] = []
-        for name in self.metrics.histogram_names:
-            if not name.startswith(SPAN_PREFIX):
-                continue
-            stage = name[len(SPAN_PREFIX):]
-            samples = self.metrics.samples(name)
-            counters = {
-                counter[len(stage) + 1:]: value
-                for counter, value in self.metrics.counters.items()
-                if counter.startswith(stage + ":")
-            }
-            records.append(
-                StageRecord(
-                    scenario=self.scenario,
-                    stage=stage,
-                    runs=len(samples),
-                    median_s=percentile(samples, 0.50),
-                    p95_s=percentile(samples, 0.95),
-                    total_s=sum(samples),
-                    counters=counters,
-                )
-            )
-        records.sort(key=lambda record: record.stage)
-        return records
+        return stage_records(self.scenario, self.metrics)
 
     def to_bench_report(self) -> BenchReport:
         return BenchReport(

@@ -16,12 +16,12 @@ no matter what the processes under it do.*  The per-job state machine::
          └──────────────── retry? ── attempts exhausted ──► QUARANTINED
                                                             (ledger entry)
 
-* **Watchdog** -- jobs are dispatched with ``as_completed`` semantics
-  and a per-job wall clock.  An attempt running past ``hang_timeout``
-  is declared hung: its worker pool is abandoned (processes
-  terminated), innocent in-flight siblings are re-dispatched to a
-  fresh pool *without* consuming one of their attempts, and the hung
-  job's attempt counts as a transient failure.
+* **Watchdog** -- units are dispatched with ``as_completed`` semantics
+  and a per-unit wall clock.  An attempt running past ``hang_timeout``
+  (times its unit's size) is declared hung: its worker is terminated
+  and the attempt counts as a transient failure.  Innocent in-flight
+  siblings never lose an attempt to it; where units run (below)
+  decides whether they are re-dispatched or keep running.
 * **Retry** -- transient failures (worker killed, broken pool,
   injected chaos faults, I/O hiccups; see
   :func:`repro.runtime.error_kind`) are retried with capped
@@ -47,13 +47,36 @@ no matter what the processes under it do.*  The per-job state machine::
   settle straight from the store, like replayed jobs; only the dirty
   rest is dispatched.
 
-Where dispatched units run is decided by what the caller lends: a
-:class:`~repro.farm.fleet.WorkerFleet` means the fleet path; otherwise
-``workers`` > 1 builds a per-batch :class:`ProcessPoolExecutor` and
-``workers`` == 1 runs in-process.  The pool stays because it starts
-much faster than a fleet (forked children answer their first task in
-~10 ms; a spawned two-worker fleet takes ~0.5 s), and a one-off batch
-has no warm state to keep.
+Where dispatched units run is decided by what the caller lends.
+:meth:`Supervisor._drive` is the one dispatch loop for every place,
+and a small class per place states the four ways they differ:
+
+* **In-process** (no fleet, ``workers`` == 1, :class:`_InProcess`) --
+  one unit at a time, run synchronously in the calling thread.  No
+  watchdog: without a process boundary a hang cannot be interrupted.
+  An exception escaping ``run_family`` propagates out of
+  :meth:`Supervisor.run`; it is not a crash to retry.
+* **Per-batch pool** (no fleet, ``workers`` > 1, :class:`_Pool`) -- up
+  to ``workers`` units in flight; the hang clock starts at dispatch.
+  One dead child breaks a :class:`ProcessPoolExecutor`, so a crash or
+  hang abandons the pool (processes terminated), re-dispatches the
+  innocent in-flight units ahead of the rest at their current attempt
+  numbers, and builds a fresh pool (``farm.supervise.pool_rebuild``).
+  Shutdown waits for the pool, or abandons it when the batch aborts
+  mid-flight.
+* **Lent fleet** (:class:`~repro.farm.fleet.WorkerFleet`,
+  :class:`_Fleet`) -- every ready unit is queued fleet-side at once on
+  the batch's stream, and the stream's claim cap (``workers``) bounds
+  how many run, so one batch cannot monopolize a shared fleet.  The
+  hang clock starts when a worker *claims* the unit, so fleet queue
+  wait never counts.  A crash fails only the unit its worker held (the
+  fleet replaces the process) and a hang terminates only the worker
+  holding it (:meth:`WorkerFleet.kill_task`); other units keep running.
+  Shutdown disowns the batch's futures: the fleet outlives the batch.
+
+The pool stays beside the fleet because it starts much faster (forked
+children answer their first task in ~10 ms; a spawned two-worker fleet
+takes ~0.5 s), and a one-off batch has no warm state to keep.
 
 Duplicate execution is safe by construction: workers only write
 content-addressed artifacts atomically, so an abandoned attempt that
@@ -72,7 +95,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from ..bgp.config import NetworkConfig
 from ..bgp.render import render_network
@@ -437,7 +460,8 @@ class _Attempt:
     #: Monotonic time before which the attempt must not be dispatched
     #: (backoff); 0.0 dispatches immediately.
     ready_at: float = 0.0
-    #: Monotonic dispatch time of the running attempt (watchdog clock).
+    #: Monotonic dispatch time of the running attempt (the pool's hang
+    #: clock).
     started: float = field(default=0.0, compare=False)
 
 
@@ -490,10 +514,8 @@ class Supervisor:
         self.progress = progress
         self.stop = stop
         #: A long-lived :class:`WorkerFleet` to borrow workers from
-        #: instead of building a per-batch pool.  All ready units are
-        #: queued fleet-side at once on this batch's stream; ``workers``
-        #: caps the stream's simultaneous worker claims, so one request
-        #: cannot monopolize a fleet shared with other batches.
+        #: instead of building a per-batch pool; ``workers`` caps this
+        #: batch's simultaneous claims on it (see :class:`_Fleet`).
         self.fleet = fleet
         #: The configuration the cache was last filled against; jobs
         #: its edit left clean settle from the store undispatched.
@@ -550,12 +572,7 @@ class Supervisor:
             self._settle_clean(results, journal, store)
         pending = self._units(results)
         try:
-            if self.fleet is not None:
-                self._run_fleet(pending, shares, results, journal, store)
-            elif self.workers <= 1:
-                self._run_serial(pending, shares, results, journal, store)
-            else:
-                self._run_pool(pending, shares, results, journal, store)
+            self._drive(pending, shares, results, journal, store)
         finally:
             if journal is not None:
                 journal.close()
@@ -639,9 +656,6 @@ class Supervisor:
             if unit:
                 units.append(unit)
         return units
-
-    def _share(self, shares, index: int) -> Optional[int]:
-        return shares[index] if shares is not None else None
 
     def _settle(
         self,
@@ -727,58 +741,205 @@ class Supervisor:
                 f"(--max-quarantine {limit})"
             )
 
-    def _stopping(self) -> bool:
-        """Whether a drain was requested (serving-layer SIGTERM)."""
-        return self.stop is not None and self.stop.is_set()
+    # -- the dispatch loop ----------------------------------------------
 
-    def _count_drained(self, drained: int) -> None:
-        if drained:
-            self.metrics.count("farm.supervise.drained", drained)
+    def _place(self) -> Union[_InProcess, _Pool, _Fleet]:
+        """Where this batch's units run: what the caller lends decides."""
+        if self.fleet is not None:
+            return _Fleet(self.fleet, self._stream, self.workers)
+        if self.workers <= 1:
+            return _InProcess()
+        return _Pool(self.workers, self.metrics)
 
-    # -- serial mode ----------------------------------------------------
+    def _drive(self, pending, shares, results, journal, store) -> None:
+        """Dispatch, wait, settle and retry until every unit is settled.
 
-    def _run_serial(self, pending, shares, results, journal, store) -> None:
-        """In-process loop: retries and quarantine, no watchdog.
-
-        Without a process boundary a hang cannot be interrupted, so
-        ``hang_timeout`` is inert here -- the CLI documents that the
-        watchdog needs ``-j 2`` or more.
+        The one loop for every place a unit can run; what differs
+        between places (how deep to dispatch, the hang clock, crash
+        and hang recovery, shutdown) is asked of ``place``.
         """
-        queue: Deque[_Unit] = deque(pending)
-
-        def requeue(att: _Attempt) -> None:
-            queue.append([att])
-
-        while queue:
-            if self._stopping():
-                self._count_drained(sum(len(unit) for unit in queue))
-                return
-            unit = queue.popleft()
-            now = time.monotonic()
-            ready = max(att.ready_at for att in unit)
-            if ready > now:
-                time.sleep(ready - now)
-            outcomes = run_family(
-                self.config, self.specification,
-                [att.job for att in unit], self.options, self.cache_dir,
-                self.timeout,
-                [self._share(shares, att.index) for att in unit],
-                [att.attempt for att in unit],
-                self.policy.chaos, self._shared_key,
-            )
-            now = time.monotonic()
-            for att, result in zip(unit, outcomes):
-                self._settle(
-                    att, result, now, requeue, results, journal, store
+        place = self._place()
+        waiting: Deque[_Unit] = deque(pending)
+        backoff: List[_Attempt] = []
+        inflight: Dict[Future, _Unit] = {}
+        hang_timeout = self.policy.hang_timeout
+        try:
+            while waiting or backoff or inflight:
+                stopping = self.stop is not None and self.stop.is_set()
+                if stopping and (waiting or backoff):
+                    # Drain (serving-layer SIGTERM): in-flight families
+                    # run to completion (and are journaled below);
+                    # everything not yet dispatched -- including pending
+                    # retries -- is left unsettled for a later --resume.
+                    self.metrics.count(
+                        "farm.supervise.drained",
+                        sum(len(unit) for unit in waiting) + len(backoff),
+                    )
+                    waiting.clear()
+                    backoff = []
+                    if not inflight:
+                        break
+                now = time.monotonic()
+                due = [att for att in backoff if att.ready_at <= now]
+                if due:
+                    backoff = [a for a in backoff if a.ready_at > now]
+                    waiting.extend(
+                        [att] for att in sorted(due, key=lambda a: a.index)
+                    )
+                while waiting and (
+                    place.depth is None or len(inflight) < place.depth
+                ):
+                    unit = waiting.popleft()
+                    started = time.monotonic()
+                    for att in unit:
+                        att.started = started
+                    inflight[place.submit(self._call(unit, shares))] = unit
+                if not inflight:
+                    next_ready = min(att.ready_at for att in backoff)
+                    time.sleep(max(0.0, min(next_ready - now, _TICK_S)))
+                    continue
+                done, _ = wait(
+                    set(inflight), timeout=_TICK_S,
+                    return_when=FIRST_COMPLETED,
                 )
+                now = time.monotonic()
+                crashed: List[Tuple[_Unit, BaseException]] = []
+                for future in done:
+                    unit = inflight.pop(future)
+                    error = future.exception()
+                    if error is None:
+                        for att, result in zip(unit, future.result()):
+                            self._settle(
+                                att, result, now, backoff.append,
+                                results, journal, store,
+                            )
+                    else:
+                        crashed.append((unit, error))
+                hung: List[Future] = []
+                if hang_timeout is not None:
+                    for future, unit in inflight.items():
+                        # A unit runs its members back to back, so its
+                        # hang allowance scales with its size.
+                        claimed = place.claimed_at(future, unit)
+                        if (
+                            claimed is not None
+                            and now - claimed > hang_timeout * len(unit)
+                        ):
+                            hung.append(future)
+                hung_units = [inflight.pop(future) for future in hung]
+                if crashed or hung:
+                    # Innocent in-flight units the place gives back go
+                    # to the front of the queue, in dispatch order, at
+                    # their *current* attempt numbers: a neighbor's
+                    # death must not burn their retries.
+                    innocents = place.recover(hung, inflight)
+                    waiting.extendleft(reversed(innocents))
+                for unit, error in crashed:
+                    # The worker died under the unit: transient by
+                    # definition, for every member -- a family shares
+                    # its process.
+                    self.metrics.count("farm.supervise.crash")
+                    for att in unit:
+                        self._fail(
+                            att, f"{type(error).__name__}: {error}",
+                            now, backoff.append, results, journal, store,
+                        )
+                for unit in hung_units:
+                    self.metrics.count("farm.supervise.hang")
+                    for att in unit:
+                        self._fail(
+                            att,
+                            f"WorkerHang: no result within "
+                            f"{hang_timeout}s (watchdog)",
+                            now, backoff.append, results, journal, store,
+                        )
+        finally:
+            place.close(inflight)
 
-    # -- pool mode ------------------------------------------------------
+    def _call(self, unit: _Unit, shares) -> Tuple[object, ...]:
+        """The ``run_family`` argument list for one unit."""
+        return (
+            self.config, self.specification,
+            [att.job for att in unit], self.options, self.cache_dir,
+            self.timeout,
+            [None if shares is None else shares[att.index] for att in unit],
+            [att.attempt for att in unit],
+            self.policy.chaos, self._shared_key,
+        )
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers)
 
-    def _abandon_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Tear a (broken or hung) pool down without waiting on it.
+# ---------------------------------------------------------------------------
+# Where dispatched units run
+#
+# Each place answers the dispatch loop's four questions, and the module
+# docstring states every place's answers: ``depth`` (how many units may
+# be in flight; ``None`` queues every ready unit), ``claimed_at`` (when
+# a unit's hang clock started; ``None`` while it is not running, or
+# with no watchdog), ``recover`` (after a crash or hang: which in-flight
+# units to re-dispatch) and ``close`` (shutdown; ``inflight`` holds the
+# units an abort left running).
+
+
+class _InProcess:
+    """``workers`` == 1: one unit at a time, in the calling thread.
+
+    The serving layer's runner threads rely on the calling thread:
+    ``run_family`` reads their thread-local resident slot.
+    """
+
+    depth: Optional[int] = 1
+
+    def submit(self, args: Tuple[object, ...]) -> Future:
+        future: Future = Future()
+        future.set_result(run_family(*args))
+        return future
+
+    def claimed_at(self, future: Future, unit: _Unit) -> Optional[float]:
+        return None
+
+    def recover(
+        self, hung: List[Future], inflight: Dict[Future, _Unit]
+    ) -> List[_Unit]:
+        return []
+
+    def close(self, inflight: Dict[Future, _Unit]) -> None:
+        pass
+
+
+class _Pool:
+    """``workers`` > 1: a per-batch :class:`ProcessPoolExecutor`."""
+
+    def __init__(self, workers: int, metrics: MetricsRegistry) -> None:
+        self.depth: Optional[int] = workers
+        self._metrics = metrics
+        self._pool = ProcessPoolExecutor(max_workers=workers)
+
+    def submit(self, args: Tuple[object, ...]) -> Future:
+        return self._pool.submit(run_family, *args)
+
+    def claimed_at(self, future: Future, unit: _Unit) -> Optional[float]:
+        return unit[0].started
+
+    def recover(
+        self, hung: List[Future], inflight: Dict[Future, _Unit]
+    ) -> List[_Unit]:
+        innocents = list(inflight.values())
+        inflight.clear()
+        self._abandon()
+        self._pool = ProcessPoolExecutor(max_workers=self.depth)
+        self._metrics.count("farm.supervise.pool_rebuild")
+        return innocents
+
+    def close(self, inflight: Dict[Future, _Unit]) -> None:
+        if inflight:
+            # Aborted mid-flight (e.g. quarantine limit): do not wait
+            # on workers that may be hung or dying.
+            self._abandon()
+        else:
+            self._pool.shutdown(wait=True)
+
+    def _abandon(self) -> None:
+        """Tear the (broken or hung) pool down without waiting on it.
 
         ``_processes`` is private executor state, but terminating the
         children is the only way to reclaim a worker stuck in a
@@ -786,251 +947,45 @@ class Supervisor:
         either way, so a future stdlib rearrangement degrades this to
         "leak one hung process", never to wrong results.
         """
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
+        processes = getattr(self._pool, "_processes", None) or {}
+        for process in list(processes.values()):
             try:
                 process.terminate()
             except Exception:
                 pass
         try:
-            pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass
 
-    def _dispatch(
-        self, pool: ProcessPoolExecutor, unit: _Unit, shares
-    ) -> Future:
-        started = time.monotonic()
-        for att in unit:
-            att.started = started
-        return pool.submit(
-            run_family, self.config, self.specification,
-            [att.job for att in unit], self.options, self.cache_dir,
-            self.timeout,
-            [self._share(shares, att.index) for att in unit],
-            [att.attempt for att in unit],
-            self.policy.chaos, self._shared_key,
+
+class _Fleet:
+    """A lent, long-lived :class:`WorkerFleet`, shared with other batches."""
+
+    depth: Optional[int] = None
+
+    def __init__(self, fleet: WorkerFleet, stream: str, cap: int) -> None:
+        self._fleet = fleet
+        self._stream = stream
+        self._cap = cap
+
+    def submit(self, args: Tuple[object, ...]) -> Future:
+        return self._fleet.submit(
+            run_family, *args, stream=self._stream, stream_cap=self._cap
         )
 
-    def _run_pool(self, pending, shares, results, journal, store) -> None:
-        waiting: Deque[_Unit] = deque(pending)
-        backoff: List[_Attempt] = []
-        inflight: Dict[Future, _Unit] = {}
-        pool = self._new_pool()
-        try:
-            while waiting or backoff or inflight:
-                if self._stopping() and (waiting or backoff):
-                    # Drain: in-flight families run to completion (and
-                    # are journaled below); everything not yet
-                    # dispatched -- including pending retries -- is
-                    # left unsettled for a later --resume.
-                    self._count_drained(
-                        sum(len(unit) for unit in waiting) + len(backoff)
-                    )
-                    waiting.clear()
-                    backoff = []
-                    if not inflight:
-                        break
-                now = time.monotonic()
-                due = [att for att in backoff if att.ready_at <= now]
-                if due:
-                    backoff = [a for a in backoff if a.ready_at > now]
-                    waiting.extend(
-                        [att] for att in sorted(due, key=lambda a: a.index)
-                    )
-                while waiting and len(inflight) < self.workers:
-                    unit = waiting.popleft()
-                    inflight[self._dispatch(pool, unit, shares)] = unit
-                if not inflight:
-                    next_ready = min(att.ready_at for att in backoff)
-                    time.sleep(max(0.0, min(next_ready - now, _TICK_S)))
-                    continue
-                done, _ = wait(
-                    set(inflight), timeout=_TICK_S,
-                    return_when=FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                rebuild = False
-                for future in done:
-                    unit = inflight.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        for att, result in zip(unit, future.result()):
-                            self._settle(
-                                att, result, now, backoff.append,
-                                results, journal, store,
-                            )
-                    else:
-                        # The worker (or the whole pool) died under the
-                        # unit: transient by definition, for every
-                        # member -- a family shares its process.
-                        rebuild = True
-                        self.metrics.count("farm.supervise.crash")
-                        for att in unit:
-                            self._fail(
-                                att,
-                                f"{type(error).__name__}: {error}",
-                                now, backoff.append, results, journal,
-                                store,
-                            )
-                if self.policy.hang_timeout is not None:
-                    # A unit runs its members back to back, so its hang
-                    # allowance scales with its size.
-                    hung = [
-                        future
-                        for future, unit in inflight.items()
-                        if now - unit[0].started
-                        > self.policy.hang_timeout * len(unit)
-                    ]
-                    for future in hung:
-                        unit = inflight.pop(future)
-                        rebuild = True
-                        self.metrics.count("farm.supervise.hang")
-                        for att in unit:
-                            self._fail(
-                                att,
-                                f"WorkerHang: no result within "
-                                f"{self.policy.hang_timeout}s (watchdog)",
-                                now, backoff.append, results, journal,
-                                store,
-                            )
-                if rebuild:
-                    # Innocent in-flight units go back to the front of
-                    # the queue at their *current* attempt numbers: a
-                    # neighbor's death must not burn their retries.
-                    for unit in inflight.values():
-                        waiting.append(unit)
-                    inflight.clear()
-                    self._abandon_pool(pool)
-                    pool = self._new_pool()
-                    self.metrics.count("farm.supervise.pool_rebuild")
-        finally:
-            if inflight:
-                # Aborted mid-flight (e.g. quarantine limit): do not
-                # wait on workers that may be hung or dying.
-                self._abandon_pool(pool)
-            else:
-                pool.shutdown(wait=True)
+    def claimed_at(self, future: Future, unit: _Unit) -> Optional[float]:
+        return self._fleet.started_at(future)
 
-    # -- fleet mode -----------------------------------------------------
+    def recover(
+        self, hung: List[Future], inflight: Dict[Future, _Unit]
+    ) -> List[_Unit]:
+        for future in hung:
+            self._fleet.kill_task(future)
+        return []
 
-    def _dispatch_fleet(self, unit: _Unit, shares) -> Future:
-        started = time.monotonic()
-        for att in unit:
-            att.started = started
-        assert self.fleet is not None
-        return self.fleet.submit(
-            run_family, self.config, self.specification,
-            [att.job for att in unit], self.options, self.cache_dir,
-            self.timeout,
-            [self._share(shares, att.index) for att in unit],
-            [att.attempt for att in unit],
-            self.policy.chaos, self._shared_key,
-            stream=self._stream, stream_cap=max(1, self.workers),
-        )
-
-    def _run_fleet(self, pending, shares, results, journal, store) -> None:
-        """Dispatch onto the shared :class:`WorkerFleet`.
-
-        Same retry/quarantine/watchdog/journal semantics as
-        :meth:`_run_pool`, with three structural differences:
-
-        * A worker crash fails only the unit that worker held -- the
-          fleet replaces the process itself, and other units (this
-          batch's or another's) keep their workers.  No pool rebuild,
-          no innocent re-dispatch.
-        * Dispatch is *deep*: every ready unit is queued fleet-side at
-          once on this batch's stream, so an idle worker claims the
-          next family immediately instead of waiting for this loop to
-          settle and re-dispatch.  The stream's claim cap (the
-          request's ``workers``) keeps the batch from monopolizing the
-          shared fleet.
-        * The hang watchdog terminates just the offending worker
-          (:meth:`WorkerFleet.kill_task`) instead of abandoning a
-          pool.  The hang clock starts when a worker *claims* the
-          unit, so fleet queue wait on a contended fleet never counts
-          against the allowance.
-        """
-        assert self.fleet is not None
-        waiting: Deque[_Unit] = deque(pending)
-        backoff: List[_Attempt] = []
-        inflight: Dict[Future, _Unit] = {}
-        try:
-            while waiting or backoff or inflight:
-                if self._stopping() and (waiting or backoff):
-                    self._count_drained(
-                        sum(len(unit) for unit in waiting) + len(backoff)
-                    )
-                    waiting.clear()
-                    backoff = []
-                    if not inflight:
-                        break
-                now = time.monotonic()
-                due = [att for att in backoff if att.ready_at <= now]
-                if due:
-                    backoff = [a for a in backoff if a.ready_at > now]
-                    waiting.extend(
-                        [att] for att in sorted(due, key=lambda a: a.index)
-                    )
-                while waiting:
-                    unit = waiting.popleft()
-                    inflight[self._dispatch_fleet(unit, shares)] = unit
-                if not inflight:
-                    next_ready = min(att.ready_at for att in backoff)
-                    time.sleep(max(0.0, min(next_ready - now, _TICK_S)))
-                    continue
-                done, _ = wait(
-                    set(inflight), timeout=_TICK_S,
-                    return_when=FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                for future in done:
-                    unit = inflight.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        for att, result in zip(unit, future.result()):
-                            self._settle(
-                                att, result, now, backoff.append,
-                                results, journal, store,
-                            )
-                    else:
-                        # The fleet worker died under the unit (and has
-                        # already been replaced): transient for every
-                        # member -- a family shares its process.
-                        self.metrics.count("farm.supervise.crash")
-                        for att in unit:
-                            self._fail(
-                                att,
-                                f"{type(error).__name__}: {error}",
-                                now, backoff.append, results, journal,
-                                store,
-                            )
-                if self.policy.hang_timeout is not None:
-                    hung = []
-                    for future, unit in inflight.items():
-                        claimed = self.fleet.started_at(future)
-                        if (
-                            claimed is not None
-                            and now - claimed
-                            > self.policy.hang_timeout * len(unit)
-                        ):
-                            hung.append(future)
-                    for future in hung:
-                        unit = inflight.pop(future)
-                        self.metrics.count("farm.supervise.hang")
-                        self.fleet.kill_task(future)
-                        for att in unit:
-                            self._fail(
-                                att,
-                                f"WorkerHang: no result within "
-                                f"{self.policy.hang_timeout}s (watchdog)",
-                                now, backoff.append, results, journal,
-                                store,
-                            )
-        finally:
-            # Aborted mid-flight (e.g. quarantine limit): the fleet
-            # outlives this batch, so just disown our futures -- late
-            # results resolve into futures nobody reads.
-            inflight.clear()
+    def close(self, inflight: Dict[Future, _Unit]) -> None:
+        pass  # the fleet outlives the batch: disown the futures
 
 
 def run_supervised(

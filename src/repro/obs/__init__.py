@@ -32,6 +32,7 @@ from .export import (
     append_experiment,
     compare_reports,
     load_report,
+    stage_records,
     validate_report,
     write_report,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "SchemaError",
     "StageRecord",
+    "stage_records",
     "Experiment",
     "BenchReport",
     "validate_report",

@@ -35,10 +35,14 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from .instrument import SPAN_PREFIX
+from .metrics import MetricsRegistry, percentile
+
 __all__ = [
     "SCHEMA_VERSION",
     "SchemaError",
     "StageRecord",
+    "stage_records",
     "Experiment",
     "BenchReport",
     "validate_report",
@@ -102,6 +106,40 @@ class StageRecord:
                 for name, value in dict(data.get("counters") or {}).items()  # type: ignore[call-overload]
             },
         )
+
+
+def stage_records(scenario: str, metrics: MetricsRegistry) -> List[StageRecord]:
+    """Per-stage records from one merged registry, sorted by stage.
+
+    One record per ``span:<stage>`` histogram; its counters are the
+    stage-attributed counters with the ``<stage>:`` prefix stripped,
+    totalled over *all* runs (the pipeline is deterministic, so
+    per-run work is the total divided by ``runs``).
+    """
+    records: List[StageRecord] = []
+    for name in metrics.histogram_names:
+        if not name.startswith(SPAN_PREFIX):
+            continue
+        stage = name[len(SPAN_PREFIX):]
+        samples = metrics.samples(name)
+        counters = {
+            counter[len(stage) + 1:]: value
+            for counter, value in metrics.counters.items()
+            if counter.startswith(stage + ":")
+        }
+        records.append(
+            StageRecord(
+                scenario=scenario,
+                stage=stage,
+                runs=len(samples),
+                median_s=percentile(samples, 0.50),
+                p95_s=percentile(samples, 0.95),
+                total_s=sum(samples),
+                counters=counters,
+            )
+        )
+    records.sort(key=lambda record: record.stage)
+    return records
 
 
 @dataclass
